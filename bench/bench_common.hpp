@@ -18,8 +18,8 @@
 namespace mrmtp::bench {
 
 /// Command-line flags every bench understands:
-///   --threads=N    run experiments on the parallel fabric engine with N
-///                  shards (0 or 1 keeps the classic single-context engine)
+///   --threads=N    run experiments on N engine shards, one thread each
+///                  (0 or 1 = one shard, inline on the calling thread)
 ///   --json-out=P   write the bench's JSON artifact to P instead of the
 ///                  default committed at the repo root
 struct BenchFlags {

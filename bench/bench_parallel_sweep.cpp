@@ -1,15 +1,15 @@
-// Parallel-engine sweep: the same failure experiment run on the classic
-// single-context engine (threads=1) and on the PoD-sharded conservative
-// engine at 2/4/8 shards, over the 8- and 16-PoD fabrics. Records simulator
+// Parallel-engine sweep: the same failure experiment run on the PoD-sharded
+// conservative engine at 1 shard (inline on the calling thread) and at
+// 2/4/8 shards, over the 8- and 16-PoD fabrics. Records simulator
 // throughput (events/sec), speedup over the 1-thread baseline, and the
 // engine's own health counters (barrier windows, horizon stalls, mailbox
 // traffic), and writes everything to BENCH_parallel.json.
 //
 // The sweep also cross-checks determinism the cheap way: per-run fabric
-// counters (packets lost, control bytes, events fired) are recorded per
-// thread count, so a divergence between shard counts is visible right in the
-// artifact. The authoritative equivalence check lives in
-// tests/parallel_engine_test.cpp.
+// counters (packets lost, control bytes, events fired, convergence) are
+// recorded per thread count and must be identical across all of them;
+// scripts/check.sh gates on that. The authoritative equivalence check lives
+// in tests/parallel_engine_test.cpp.
 //
 // Note on speedup: shards run on real threads, so measured speedup is
 // bounded by the host's core count (recorded as hardware_concurrency in the
@@ -118,13 +118,11 @@ int main(int argc, char** argv) {
               doc["points"].as_array().size());
 
   std::printf(
-      "\nShape check: per-run fabric outcomes (pkts lost, ctrl bytes,\n"
-      "convergence) must be identical across every sharded row (threads >= 2)\n"
-      "of a topology/protocol — the conservative engine is deterministic at\n"
-      "any shard count. The 1-thread row rides the classic engine, whose\n"
-      "outcomes may differ slightly (sharded runs draw from per-entity RNG\n"
-      "streams; the classic path keeps the legacy shared stream bit-exact).\n"
-      "Speedup should approach min(threads, PoDs, cores) while horizon\n"
-      "stalls stay a small fraction of windows.\n");
+      "\nShape check: per-run fabric outcomes (events fired, pkts lost, ctrl\n"
+      "bytes, convergence) must be identical across every row of a\n"
+      "topology/protocol, 1 thread included — the conservative engine is\n"
+      "deterministic at any shard count. Speedup is bounded by\n"
+      "min(threads, PoDs, cores) and by per-shard work per lookahead\n"
+      "window; small fabrics can run slower on more threads.\n");
   return 0;
 }

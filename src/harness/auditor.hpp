@@ -207,4 +207,34 @@ class FabricAuditor {
   int max_cascade_depth_ = 0;
 };
 
+/// Advances a sharded fabric's engine with periodic audit sweeps. Sweeps
+/// read cross-shard state, which is only legal while the engine is paused,
+/// so instead of a simulator timer the run pauses at every tick
+/// (from + k * period, k >= 1) and sweeps inline on the calling thread.
+/// Without an auditor, run_until is a plain engine.run_until.
+class AuditedRun {
+ public:
+  AuditedRun(sim::ShardedEngine& engine, FabricAuditor* auditor,
+             sim::Time from, sim::Duration period)
+      : engine_(engine),
+        auditor_(auditor),
+        next_tick_(from + period),
+        period_(period) {}
+
+  void run_until(sim::Time target) {
+    for (; auditor_ != nullptr && next_tick_ <= target;
+         next_tick_ = next_tick_ + period_) {
+      engine_.run_until(next_tick_);
+      auditor_->sweep();
+    }
+    engine_.run_until(target);
+  }
+
+ private:
+  sim::ShardedEngine& engine_;
+  FabricAuditor* auditor_;
+  sim::Time next_tick_;
+  sim::Duration period_;
+};
+
 }  // namespace mrmtp::harness

@@ -19,14 +19,11 @@ struct ExperimentSpec {
   std::uint64_t seed = 1;
   DeployOptions options;
 
-  /// Worker shards for the parallel fabric engine. 0 or 1 = the classic
-  /// single-context path, bit-identical to every release so far. >= 2 =
-  /// PoD-sharded conservative engine (clamped to the PoD count). Set
-  /// `force_parallel_engine` to run the sharded machinery even at one shard:
-  /// that configuration is the determinism reference an N-shard run must
-  /// reproduce counter-for-counter.
+  /// Shards of the PoD-sharded conservative engine every run goes through
+  /// (clamped to the PoD count). 0 or 1 = one shard, run inline on the
+  /// calling thread; >= 2 = one thread per shard. Every merged metric is
+  /// identical at any shard count.
   std::uint32_t threads = 0;
-  bool force_parallel_engine = false;
 
   /// Initial convergence allowance before traffic starts.
   sim::Duration settle = sim::Duration::seconds(3);
@@ -146,10 +143,10 @@ struct ExperimentResult {
   std::uint64_t pause_rx = 0;
   std::uint64_t buffer_drops = 0;
 
-  /// Parallel-engine health (all zero on the classic path): shards actually
-  /// used, barrier windows executed, windows in which some shard had no
-  /// local work before the horizon (pure synchronization overhead), frames
-  /// that crossed a shard mailbox, and the deepest any mailbox ever got.
+  /// Parallel-engine health: shards actually used, barrier windows executed,
+  /// windows in which some shard had no local work before the horizon (pure
+  /// synchronization overhead), frames that crossed a shard mailbox, and the
+  /// deepest any mailbox ever got.
   std::uint32_t threads_used = 1;
   std::uint64_t sync_windows = 0;
   std::uint64_t horizon_stalls = 0;
@@ -160,8 +157,8 @@ struct ExperimentResult {
   /// engine, so coalesced/sync is the barrier-elision ratio.
   std::uint64_t coalesced_windows = 0;
   /// Tightest and widest transitively-closed directed-pair lookahead (ns)
-  /// the engine derived from the actual shard-crossing links; 0/0 on the
-  /// classic path. The spread shows how much the per-pair matrix buys over
+  /// the engine derived from the actual shard-crossing links; 0/0 with one
+  /// shard. The spread shows how much the per-pair matrix buys over
   /// one global minimum.
   std::uint64_t pair_lookahead_min_ns = 0;
   std::uint64_t pair_lookahead_max_ns = 0;

@@ -11,29 +11,20 @@
 namespace mrmtp::harness {
 
 WorkloadRunResult run_workload(const WorkloadRunSpec& spec) {
-  const bool sharded = spec.threads >= 2 || spec.force_parallel_engine;
   topo::ClosBlueprint blueprint(spec.topo);
-  std::optional<net::SimContext> ctx;
-  std::optional<ShardedFabric> fabric;
-  std::optional<Deployment> dep;
-  if (sharded) {
-    fabric.emplace(blueprint, std::max<std::uint32_t>(spec.threads, 1),
-                   spec.seed);
-    dep.emplace(*fabric, spec.proto, spec.options);
-  } else {
-    ctx.emplace(spec.seed);
-    dep.emplace(*ctx, blueprint, spec.proto, spec.options);
-  }
+  ShardedFabric fabric(blueprint, std::max<std::uint32_t>(spec.threads, 1),
+                       spec.seed);
+  Deployment dep(fabric, spec.proto, spec.options);
 
   const sim::Time t_launch = sim::Time::zero() + spec.settle;
   const sim::Time t_end = t_launch + spec.launch_window + spec.drain;
 
-  dep->start();
+  dep.start();
 
   std::vector<traffic::Host*> hosts;
-  hosts.reserve(dep->host_count());
-  for (std::uint32_t h = 0; h < dep->host_count(); ++h) {
-    hosts.push_back(&dep->host(h));
+  hosts.reserve(dep.host_count());
+  for (std::uint32_t h = 0; h < dep.host_count(); ++h) {
+    hosts.push_back(&dep.host(h));
   }
   traffic::WorkloadSpec w = spec.workload;
   if (w.edge_bw_bps == 0) {
@@ -42,7 +33,7 @@ WorkloadRunResult run_workload(const WorkloadRunSpec& spec) {
   traffic::WorkloadEngine engine(std::move(hosts), std::move(w), spec.seed);
   engine.launch(t_launch, spec.launch_window);
 
-  topo::FailureInjector injector(dep->network(), blueprint);
+  topo::FailureInjector injector(dep.network(), blueprint);
   if (spec.inject_failure) {
     injector.schedule_failure(spec.tc, t_launch + spec.failure_after);
   }
@@ -50,7 +41,7 @@ WorkloadRunResult run_workload(const WorkloadRunSpec& spec) {
   // Seeded buffer-squeeze chaos, spread evenly across the launch window.
   std::optional<topo::ChaosEngine> chaos;
   if (spec.chaos_squeezes > 0) {
-    chaos.emplace(dep->network(), blueprint, spec.seed ^ 0x53515a45ull);
+    chaos.emplace(dep.network(), blueprint, spec.seed ^ 0x53515a45ull);
     topo::ChaosEngine::CampaignSpec camp;
     camp.events = static_cast<int>(spec.chaos_squeezes);
     camp.spacing = spec.launch_window / (spec.chaos_squeezes + 1);
@@ -64,41 +55,28 @@ WorkloadRunResult run_workload(const WorkloadRunSpec& spec) {
   }
 
   std::optional<FabricAuditor> auditor;
-  if (spec.audit) {
-    auditor.emplace(*dep);
-    if (!sharded) auditor->start(spec.audit_period);
-  }
+  if (spec.audit) auditor.emplace(dep);
+  AuditedRun run(fabric.engine(), auditor ? &*auditor : nullptr,
+                 sim::Time::zero(), spec.audit_period);
 
-  // Pause just before launch for the cross-shard converged() snapshot (the
-  // sharded engine forbids cross-shard reads mid-window), then run out the
-  // campaign. The classic scheduler takes the same two-step path.
-  auto run_until = [&](sim::Time target) {
-    if (sharded) {
-      fabric->engine().run_until(target);
-    } else {
-      ctx->sched.run_until(target);
-    }
-  };
+  // Pause just before launch for the cross-shard converged() snapshot, then
+  // run out the campaign.
   WorkloadRunResult result;
   auto wall_start = std::chrono::steady_clock::now();
-  run_until(t_launch - sim::Duration::nanos(1));
-  result.initial_converged = dep->converged();
-  run_until(t_end);
+  run.run_until(t_launch - sim::Duration::nanos(1));
+  result.initial_converged = dep.converged();
+  run.run_until(t_end);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
 
   result.flows = engine.collect(t_end);
-  if (sharded) {
-    result.threads_used = fabric->shard_count();
-    for (std::uint32_t s = 0; s < fabric->shard_count(); ++s) {
-      result.events_fired += fabric->ctx(s).sched.events_fired();
-    }
-  } else {
-    result.events_fired = ctx->sched.events_fired();
+  result.threads_used = fabric.shard_count();
+  for (std::uint32_t s = 0; s < fabric.shard_count(); ++s) {
+    result.events_fired += fabric.ctx(s).sched.events_fired();
   }
-  for (const auto& link : dep->network().links()) {
+  for (const auto& link : dep.network().links()) {
     const net::Link::Stats& ls = link->stats();
     for (const net::Link::DirStats* ds : {&ls.ab, &ls.ba}) {
       result.data_queue_drops +=
@@ -112,19 +90,16 @@ WorkloadRunResult run_workload(const WorkloadRunSpec& spec) {
       result.flows.wcmp_weight_updates += ds->wcmp_weight_updates;
     }
   }
-  for (std::uint32_t d = 0; d < dep->router_count(); ++d) {
-    const net::SwitchBuffer* sb = dep->router(d).switch_buffer();
+  for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
+    const net::SwitchBuffer* sb = dep.router(d).switch_buffer();
     if (sb == nullptr || sb->params().pool_bytes == 0) continue;
     result.occupancy_hw_ratio =
         std::max(result.occupancy_hw_ratio,
                  static_cast<double>(sb->stats().occupancy_hw) /
                      static_cast<double>(sb->params().pool_bytes));
   }
-  if (auditor.has_value()) {
-    // The sharded engine has stopped; cross-shard reads are legal now. The
-    // classic path also takes a final sweep so both engines score the
-    // end-state invariants.
-    auditor->stop();
+  if (auditor) {
+    // A final sweep scores the end-state invariants.
     auditor->sweep();
     result.pfc_deadlocks = auditor->pfc_deadlocks();
     result.audit_violations = auditor->violations().size();

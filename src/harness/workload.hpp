@@ -3,9 +3,8 @@
 // Poisson arrivals at a load fraction, incast / all-to-all scripts),
 // optionally fail a link mid-campaign, and collect the per-flow completion
 // time table — the user-visible metric every routing-scheme claim is now
-// scored in. One code path serves both the classic single-context engine
-// and the PoD-sharded parallel engine; results are identical by the
-// determinism contract.
+// scored in. Every run goes through the PoD-sharded engine; results are
+// identical at any shard count by the determinism contract.
 #pragma once
 
 #include "harness/deploy.hpp"
@@ -21,11 +20,9 @@ struct WorkloadRunSpec {
   DeployOptions options;
   traffic::WorkloadSpec workload;
 
-  /// Worker shards, as in ExperimentSpec: 0/1 = classic engine,
-  /// >= 2 = sharded; force_parallel_engine runs the sharded machinery even
-  /// at one shard (the determinism reference).
+  /// Engine shards, as in ExperimentSpec: 0 or 1 = one shard inline on the
+  /// calling thread, >= 2 = one thread per shard.
   std::uint32_t threads = 0;
-  bool force_parallel_engine = false;
 
   /// Initial convergence allowance before flows launch.
   sim::Duration settle = sim::Duration::seconds(3);
@@ -42,10 +39,9 @@ struct WorkloadRunSpec {
   topo::TestCase tc = topo::TestCase::kTC1;
   sim::Duration failure_after = sim::Duration::millis(300);  // after launch
 
-  /// Run a FabricAuditor over the campaign: periodic sweeps every
-  /// `audit_period` under the classic engine; sharded runs take one final
-  /// sweep instead (cross-shard reads are only legal once the engine
-  /// stops), so the audited invariants are identical at any shard count.
+  /// Run a FabricAuditor over the campaign: a sweep every `audit_period`
+  /// from t=0 (the engine pauses at each tick) plus one final sweep at the
+  /// end, identical at any shard count.
   bool audit = false;
   sim::Duration audit_period = sim::Duration::millis(500);
   /// Seeded kBufferSqueeze chaos events spread across the launch window,

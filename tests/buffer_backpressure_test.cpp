@@ -353,7 +353,6 @@ TEST(BufferedIncastTest, SurvivesSeededBufferSqueezeCampaign) {
 // new ecn/pause telemetry — at 1 shard and at 4.
 TEST(BufferedIncastTest, FlowStatsIdenticalAcrossShardCountsWithEcn) {
   WorkloadRunSpec spec = incast_campaign();
-  spec.force_parallel_engine = true;
   spec.threads = 1;
   WorkloadRunResult one = run_workload(spec);
   spec.threads = 4;

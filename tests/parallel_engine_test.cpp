@@ -311,38 +311,64 @@ TEST(ParallelDeterminism, BgpBfdFourShardsMatchOneShard) {
   expect_snapshots_equal(one, four);
 }
 
-// The experiment runner's sharded path must agree with itself across shard
-// counts on every merged metric (the per-shard instrumentation slots).
+// The experiment runner must report the same result at any thread count:
+// threads 0 and 1 (one shard, inline) and 4 (four shards on four threads)
+// agree on every merged metric — the per-shard instrumentation slots, the
+// per-router and per-link sums, the probe flow and the audit verdicts —
+// under both MR-MTP and BGP+BFD. Only per-scheduler internals (queue
+// high-water, reschedules, compactions) and engine telemetry may differ.
 TEST(ParallelDeterminism, ExperimentRunnerMergesIdentically) {
-  harness::ExperimentSpec spec;
-  spec.topo = topo::ClosParams{8, 2, 2, 4, 1};
-  spec.proto = harness::Proto::kMtp;
-  spec.tc = topo::TestCase::kTC2;
-  spec.seed = 23;
-  spec.gray.kind = harness::ExperimentSpec::GraySpec::Kind::kUnidirLoss;
-  spec.gray.loss = 0.5;
-  spec.audit = true;
-  spec.force_parallel_engine = true;
+  for (harness::Proto proto : {harness::Proto::kMtp, harness::Proto::kBgpBfd}) {
+    harness::ExperimentSpec spec;
+    spec.topo = topo::ClosParams{8, 2, 2, 4, 1};
+    spec.proto = proto;
+    spec.tc = topo::TestCase::kTC2;
+    spec.seed = 23;
+    spec.gray.kind = harness::ExperimentSpec::GraySpec::Kind::kUnidirLoss;
+    spec.gray.loss = 0.5;
+    spec.audit = true;
 
-  spec.threads = 1;
-  harness::ExperimentResult one = harness::run_failure_experiment(spec);
-  spec.threads = 4;
-  harness::ExperimentResult four = harness::run_failure_experiment(spec);
-
-  EXPECT_EQ(one.threads_used, 1u);
-  EXPECT_EQ(four.threads_used, 4u);
-  EXPECT_TRUE(one.initial_converged);
-  EXPECT_EQ(one.convergence.ns(), four.convergence.ns());
-  EXPECT_EQ(one.update_events, four.update_events);
-  EXPECT_EQ(one.blast_any, four.blast_any);
-  EXPECT_EQ(one.blast_remote, four.blast_remote);
-  EXPECT_EQ(one.ctrl_bytes_raw, four.ctrl_bytes_raw);
-  EXPECT_EQ(one.packets_sent, four.packets_sent);
-  EXPECT_EQ(one.packets_lost, four.packets_lost);
-  EXPECT_EQ(one.failure_detected, four.failure_detected);
-  EXPECT_EQ(one.detection_latency.ns(), four.detection_latency.ns());
-  EXPECT_EQ(one.final_sweep_violations, four.final_sweep_violations);
-  EXPECT_EQ(one.events_fired, four.events_fired);
+    spec.threads = 0;
+    const harness::ExperimentResult ref = harness::run_failure_experiment(spec);
+    EXPECT_EQ(ref.threads_used, 1u);
+    EXPECT_TRUE(ref.initial_converged);
+    EXPECT_GT(ref.update_events, 0u);
+    EXPECT_GT(ref.audit_sweeps, 1u);
+    for (std::uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(to_string(proto)) + " threads=" +
+                   std::to_string(threads));
+      spec.threads = threads;
+      const harness::ExperimentResult r = harness::run_failure_experiment(spec);
+      EXPECT_EQ(r.threads_used, threads);
+      EXPECT_EQ(r.initial_converged, ref.initial_converged);
+      EXPECT_EQ(r.convergence.ns(), ref.convergence.ns());
+      EXPECT_EQ(r.update_events, ref.update_events);
+      EXPECT_EQ(r.blast_any, ref.blast_any);
+      EXPECT_EQ(r.blast_remote, ref.blast_remote);
+      EXPECT_EQ(r.blast_leaf_remote, ref.blast_leaf_remote);
+      EXPECT_EQ(r.ctrl_bytes_raw, ref.ctrl_bytes_raw);
+      EXPECT_EQ(r.ctrl_bytes_padded, ref.ctrl_bytes_padded);
+      EXPECT_EQ(r.packets_sent, ref.packets_sent);
+      EXPECT_EQ(r.packets_lost, ref.packets_lost);
+      EXPECT_EQ(r.duplicates, ref.duplicates);
+      EXPECT_EQ(r.out_of_order, ref.out_of_order);
+      EXPECT_EQ(r.outage.ns(), ref.outage.ns());
+      EXPECT_EQ(r.flow_stats, ref.flow_stats);
+      EXPECT_EQ(r.failure_detected, ref.failure_detected);
+      EXPECT_EQ(r.detection_latency.ns(), ref.detection_latency.ns());
+      EXPECT_EQ(r.audit_sweeps, ref.audit_sweeps);
+      EXPECT_EQ(r.audit_violations, ref.audit_violations);
+      EXPECT_EQ(r.final_sweep_violations, ref.final_sweep_violations);
+      EXPECT_EQ(r.events_fired, ref.events_fired);
+      EXPECT_EQ(r.allocs_avoided, ref.allocs_avoided);
+      EXPECT_EQ(r.up_cache_hits, ref.up_cache_hits);
+      EXPECT_EQ(r.up_cache_misses, ref.up_cache_misses);
+      EXPECT_EQ(r.ctrl_queue_drops, ref.ctrl_queue_drops);
+      EXPECT_EQ(r.data_queue_drops, ref.data_queue_drops);
+      EXPECT_EQ(r.ctrl_backlog_hw_ns, ref.ctrl_backlog_hw_ns);
+      EXPECT_EQ(r.data_backlog_hw_ns, ref.data_backlog_hw_ns);
+    }
+  }
 }
 
 }  // namespace

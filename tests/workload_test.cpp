@@ -340,7 +340,6 @@ WorkloadRunSpec small_campaign() {
 // thread interleaving must never show through.
 TEST(WorkloadHarnessTest, FlowStatsIdenticalAcrossShardCounts) {
   WorkloadRunSpec spec = small_campaign();
-  spec.force_parallel_engine = true;
   spec.threads = 1;
   WorkloadRunResult one = run_workload(spec);
   spec.threads = 4;
