@@ -246,6 +246,17 @@ void MtpRouter::handle_msg(net::Port& in, MtpMessage& msg) {
 
 // ----------------------------------------------------------------- liveness
 
+template <typename Fn>
+bool MtpRouter::for_each_advertisable(Fn&& fn) const {
+  if (draining_) return true;  // cost-out: offer nothing, upstreams stay away
+  if (is_leaf()) return fn(Vid(own_vid_));
+  for (const auto& e : vid_table_.entries()) {
+    // A VID at the depth limit has no child the wire could carry.
+    if (e.vid.depth() < Vid::kMaxDepth && !fn(e.vid)) return false;
+  }
+  return true;
+}
+
 void MtpRouter::note_rx(net::Port& in) {
   PortState& s = pstate(in.number());
   sim::Time now = ctx_.now();
@@ -409,13 +420,12 @@ void MtpRouter::send_hello_if_idle(std::uint32_t p) {
 }
 
 bool MtpRouter::fully_assigned(std::uint32_t p) const {
+  // Walks the table in place: this runs on every keep-alive slot of every
+  // upstream port, and VIDs are inline, so the check allocates nothing.
   const PortState& s = pstate(p);
-  for (const Vid& base : advertisable_vids()) {
-    if (!s.assigned.contains(base.child(static_cast<std::uint16_t>(p)))) {
-      return false;
-    }
-  }
-  return true;
+  return for_each_advertisable([&](const Vid& base) {
+    return s.assigned.contains(base.child(static_cast<std::uint16_t>(p)));
+  });
 }
 
 void MtpRouter::on_port_down(net::Port& p) {
@@ -438,11 +448,12 @@ void MtpRouter::on_port_up(net::Port& p) {
 // ------------------------------------------------------- tree establishment
 
 std::vector<Vid> MtpRouter::advertisable_vids() const {
-  if (draining_) return {};  // cost-out: offer nothing, upstreams stay away
-  if (is_leaf()) return {Vid(own_vid_)};
   std::vector<Vid> out;
-  out.reserve(vid_table_.size());
-  for (const auto& e : vid_table_.entries()) out.push_back(e.vid);
+  out.reserve(is_leaf() ? 1 : vid_table_.size());
+  for_each_advertisable([&](const Vid& v) {
+    out.push_back(v);
+    return true;
+  });
   return out;
 }
 
@@ -472,8 +483,11 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseMsg& msg) {
     // An upstream's advertisement is a full statement of the trees it
     // holds: remember the roots so the uplink load balancer can steer tree
     // traffic toward uplinks that can actually deliver it.
-    std::set<std::uint16_t> roots;
-    for (const Vid& v : msg.vids) roots.insert(v.root());
+    std::vector<std::uint16_t> roots;
+    roots.reserve(msg.vids.size());
+    for (const Vid& v : msg.vids) roots.push_back(v.root());
+    std::sort(roots.begin(), roots.end());
+    roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
     if (roots != s.advertised_roots) {
       s.advertised_roots = std::move(roots);
       invalidate_up_cache();
@@ -485,7 +499,7 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseMsg& msg) {
     // fully_assigned() false again, so the keep-alive slot re-advertises
     // and the join handshake restarts.
     if (msg.tier > config_.tier && !s.assigned.empty()) {
-      std::set<Vid> held(msg.vids.begin(), msg.vids.end());
+      std::vector<Vid> held = msg.vids;
       // A JOIN_OFFER still awaiting its ack names a VID the neighbor has
       // not processed yet, so its absence from this statement is expected —
       // pruning it here would orphan the tree on our side while the
@@ -493,11 +507,14 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseMsg& msg) {
       for (const auto& [id, o] : outstanding_) {
         if (o.port != p) continue;
         if (const auto* offer = std::get_if<JoinOfferMsg>(&o.msg)) {
-          held.insert(offer->vids.begin(), offer->vids.end());
+          held.insert(held.end(), offer->vids.begin(), offer->vids.end());
         }
       }
+      std::sort(held.begin(), held.end());
       for (auto it = s.assigned.begin(); it != s.assigned.end();) {
-        it = held.contains(it->first) ? std::next(it) : s.assigned.erase(it);
+        it = std::binary_search(held.begin(), held.end(), it->first)
+                 ? std::next(it)
+                 : s.assigned.erase(it);
       }
     }
     return;  // we only join trees from below
@@ -510,7 +527,10 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseMsg& msg) {
   for (const Vid& base : msg.vids) {
     bool already_joined = false;
     bool duplicate_root = false;
-    for (const auto& e : vid_table_.entries()) {
+    // Both checks only concern entries of this tree. A root's bucket keeps
+    // table insertion order, so the first match is the one a whole-table
+    // walk would find.
+    for (const auto& e : vid_table_.entries_for_root(base.root())) {
       if (e.port == p && e.vid.parent() == base) {
         already_joined = true;
         break;
@@ -557,7 +577,7 @@ void MtpRouter::handle_join_request(std::uint32_t p, const JoinRequestMsg& msg) 
   JoinOfferMsg offer;
   for (const Vid& base : msg.vids) {
     bool held = is_leaf() ? (base == Vid(own_vid_)) : vid_table_.contains(base);
-    if (!held) continue;
+    if (!held || base.depth() >= Vid::kMaxDepth) continue;
     // The derived VID is the base plus the port the request arrived on
     // (paper §III.B).
     Vid child = base.child(static_cast<std::uint16_t>(p));
@@ -616,19 +636,21 @@ void MtpRouter::process_vid_loss(const std::vector<VidEntry>& lost,
   (void)from_update;
   if (lost.empty()) return;
 
-  std::set<Vid> lost_vids;
+  std::vector<Vid> lost_vids;
+  lost_vids.reserve(lost.size());
   std::set<std::uint16_t> roots;
   for (const auto& e : lost) {
-    lost_vids.insert(e.vid);
+    lost_vids.push_back(e.vid);
     roots.insert(e.vid.root());
   }
+  std::sort(lost_vids.begin(), lost_vids.end());
 
   // Withdraw the children we derived from the lost VIDs, upward.
   for (std::uint32_t up : alive_ports(/*upstream=*/true)) {
     PortState& s = pstate(up);
     std::vector<Vid> withdraw;
     for (auto it = s.assigned.begin(); it != s.assigned.end();) {
-      if (lost_vids.contains(it->second)) {
+      if (std::binary_search(lost_vids.begin(), lost_vids.end(), it->second)) {
         withdraw.push_back(it->first);
         it = s.assigned.erase(it);
       } else {
@@ -1078,7 +1100,8 @@ const MtpRouter::UpCacheSlot& MtpRouter::up_slot(std::uint16_t dst_root) const {
     // trees, and hashing tree traffic onto it blackholes at the turn. When
     // no uplink advertises the root (a remote pod's root never shows up in
     // a pod spine's statement), every alive uplink is fair game as before.
-    if (s.advertised_roots.contains(dst_root)) {
+    if (std::binary_search(s.advertised_roots.begin(), s.advertised_roots.end(),
+                           dst_root)) {
       out.push_back(p);
       if (weighted) weights.push_back(weight_of(p, s));
     } else {

@@ -225,10 +225,11 @@ class MtpRouter : public net::Node {
     /// Child VIDs we assigned to the neighbor on this port -> their base.
     std::map<Vid, Vid> assigned;
     /// Roots an *upstream* neighbor listed in its last ADVERTISE — a full
-    /// statement of the trees it holds. The uplink load balancer prefers
-    /// uplinks that advertised the destination root, so a cold-rejoining
-    /// neighbor draws no tree traffic until it has actually re-joined.
-    std::set<std::uint16_t> advertised_roots;
+    /// statement of the trees it holds — sorted and unique. The uplink load
+    /// balancer prefers uplinks that advertised the destination root, so a
+    /// cold-rejoining neighbor draws no tree traffic until it has actually
+    /// re-joined.
+    std::vector<std::uint16_t> advertised_roots;
     /// Highest ADVERTISE seq seen from this neighbor; older statements are
     /// duplicates the link re-delivered late and must not prune anything.
     /// Reset when the neighbor dies so a rebooted sender restarts cleanly.
@@ -279,6 +280,11 @@ class MtpRouter : public net::Node {
   void handle_join_offer(std::uint32_t port, const JoinOfferMsg& msg);
   void retry_joins(std::uint32_t port);
   [[nodiscard]] std::vector<Vid> advertisable_vids() const;
+  /// Calls `fn` on each VID this router offers upward (none while
+  /// draining, the own root on a leaf, else the table in order) until `fn`
+  /// returns false; returns false iff it stopped early.
+  template <typename Fn>
+  bool for_each_advertisable(Fn&& fn) const;
 
   // --- failure updates ---
   /// Origination points route through these instead of send_reliable so a

@@ -5,21 +5,23 @@
 namespace mrmtp::mtp {
 
 Vid Vid::parse(std::string_view text) {
-  std::vector<std::uint16_t> labels;
-  for (const auto& part : util::split(text, '.')) {
+  const std::vector<std::string> parts = util::split(text, '.');
+  check_depth(parts.size());
+  Vid out;
+  for (const auto& part : parts) {
     std::uint64_t v = 0;
     if (!util::parse_u64(part, v) || v > 0xffff) {
       throw util::CodecError("bad VID: " + std::string(text));
     }
-    labels.push_back(static_cast<std::uint16_t>(v));
+    out.labels_[out.depth_++] = static_cast<std::uint16_t>(v);
   }
-  if (labels.empty()) throw util::CodecError("empty VID");
-  return Vid(std::move(labels));
+  if (out.empty()) throw util::CodecError("empty VID");
+  return out;
 }
 
 std::string Vid::str() const {
   std::string out;
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
+  for (std::size_t i = 0; i < depth_; ++i) {
     if (i != 0) out.push_back('.');
     out += std::to_string(labels_[i]);
   }
@@ -29,10 +31,10 @@ std::string Vid::str() const {
 Vid Vid::deserialize(util::BufReader& r) {
   std::uint8_t count = r.u8();
   if (count == 0) throw util::CodecError("VID: zero labels");
-  std::vector<std::uint16_t> labels;
-  labels.reserve(count);
-  for (int i = 0; i < count; ++i) labels.push_back(r.u16());
-  return Vid(std::move(labels));
+  check_depth(count);
+  Vid out;
+  for (; out.depth_ < count; ++out.depth_) out.labels_[out.depth_] = r.u16();
+  return out;
 }
 
 }  // namespace mrmtp::mtp

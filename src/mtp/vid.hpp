@@ -8,11 +8,13 @@
 // (paper §III.B).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/byte_io.hpp"
 
@@ -20,42 +22,57 @@ namespace mrmtp::mtp {
 
 class Vid {
  public:
-  Vid() = default;
-  explicit Vid(std::uint16_t root) : labels_{root} {}
-  explicit Vid(std::vector<std::uint16_t> labels) : labels_(std::move(labels)) {}
+  /// Deepest VID a device may hold: one label per tier, so this bounds the
+  /// fabric at 8 tiers (the deepest fabric built here has 4). The labels live
+  /// inline, so copying, deriving and decoding a VID never allocates; a wire
+  /// VID with more labels is malformed.
+  static constexpr std::size_t kMaxDepth = 8;
 
-  /// Parses dotted form "11.1.2"; throws util::CodecError on bad input.
+  Vid() = default;
+  explicit Vid(std::uint16_t root) : labels_{root}, depth_(1) {}
+  /// Throws util::CodecError above kMaxDepth labels.
+  explicit Vid(std::span<const std::uint16_t> labels) {
+    check_depth(labels.size());
+    std::copy(labels.begin(), labels.end(), labels_.begin());
+    depth_ = static_cast<std::uint8_t>(labels.size());
+  }
+
+  /// Parses dotted form "11.1.2"; throws util::CodecError on bad input,
+  /// including more than kMaxDepth labels.
   static Vid parse(std::string_view text);
 
-  [[nodiscard]] bool empty() const { return labels_.empty(); }
+  [[nodiscard]] bool empty() const { return depth_ == 0; }
   /// Number of labels; a ToR root VID has depth 1.
-  [[nodiscard]] std::size_t depth() const { return labels_.size(); }
+  [[nodiscard]] std::size_t depth() const { return depth_; }
   /// The ToR this VID's tree is rooted at.
-  [[nodiscard]] std::uint16_t root() const { return labels_.front(); }
+  [[nodiscard]] std::uint16_t root() const { return labels_[0]; }
   [[nodiscard]] std::uint16_t label(std::size_t i) const { return labels_[i]; }
-  [[nodiscard]] const std::vector<std::uint16_t>& labels() const { return labels_; }
+  [[nodiscard]] std::span<const std::uint16_t> labels() const {
+    return {labels_.data(), depth_};
+  }
 
   /// The VID an assigner derives for a joiner: itself plus the port number
-  /// the join request arrived on.
+  /// the join request arrived on. Throws util::CodecError at kMaxDepth.
   [[nodiscard]] Vid child(std::uint16_t port) const {
-    std::vector<std::uint16_t> l = labels_;
-    l.push_back(port);
-    return Vid(std::move(l));
+    check_depth(depth_ + std::size_t{1});
+    Vid out = *this;
+    out.labels_[out.depth_++] = port;
+    return out;
   }
 
   /// Drops the last label ("11.1.2" -> "11.1"); parent of a root is empty.
   [[nodiscard]] Vid parent() const {
-    if (labels_.size() <= 1) return Vid();
-    return Vid(std::vector<std::uint16_t>(labels_.begin(), labels_.end() - 1));
+    if (depth_ <= 1) return Vid();
+    Vid out = *this;
+    --out.depth_;
+    return out;
   }
 
   /// True if this VID lies on the path from the root to `other` (inclusive).
   [[nodiscard]] bool is_prefix_of(const Vid& other) const {
-    if (labels_.size() > other.labels_.size()) return false;
-    for (std::size_t i = 0; i < labels_.size(); ++i) {
-      if (labels_[i] != other.labels_[i]) return false;
-    }
-    return true;
+    return depth_ <= other.depth_ &&
+           std::equal(labels_.begin(), labels_.begin() + depth_,
+                      other.labels_.begin());
   }
 
   [[nodiscard]] std::string str() const;
@@ -65,16 +82,37 @@ class Vid {
   /// pooled net::BufferWriter).
   template <typename Writer>
   void serialize(Writer& w) const {
-    w.u8(static_cast<std::uint8_t>(labels_.size()));
-    for (std::uint16_t label : labels_) w.u16(label);
+    w.u8(depth_);
+    for (std::uint16_t label : labels()) w.u16(label);
   }
+  /// Throws util::CodecError on zero or more than kMaxDepth labels.
   static Vid deserialize(util::BufReader& r);
-  [[nodiscard]] std::size_t wire_size() const { return 1 + 2 * labels_.size(); }
+  [[nodiscard]] std::size_t wire_size() const { return 1 + 2 * std::size_t{depth_}; }
 
-  auto operator<=>(const Vid&) const = default;
+  friend bool operator==(const Vid& a, const Vid& b) {
+    return a.depth_ == b.depth_ &&
+           std::equal(a.labels_.begin(), a.labels_.begin() + a.depth_,
+                      b.labels_.begin());
+  }
+  /// Lexicographic over the labels, a prefix sorting first ("11" < "11.1" <
+  /// "11.2" < "12"). Ordered containers of VIDs iterate in this order, and
+  /// that order is what JOIN_REQUEST and VID_WITHDRAW put on the wire.
+  friend std::strong_ordering operator<=>(const Vid& a, const Vid& b) {
+    return std::lexicographical_compare_three_way(
+        a.labels_.begin(), a.labels_.begin() + a.depth_, b.labels_.begin(),
+        b.labels_.begin() + b.depth_);
+  }
 
  private:
-  std::vector<std::uint16_t> labels_;
+  static void check_depth(std::size_t depth) {
+    if (depth > kMaxDepth) {
+      throw util::CodecError("VID: " + std::to_string(depth) +
+                             " labels exceeds max depth");
+    }
+  }
+
+  std::array<std::uint16_t, kMaxDepth> labels_{};
+  std::uint8_t depth_ = 0;
 };
 
 }  // namespace mrmtp::mtp

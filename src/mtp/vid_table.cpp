@@ -5,6 +5,15 @@
 namespace mrmtp::mtp {
 
 namespace {
+/// Storage model behind memory_bytes(): each entry is a port plus a
+/// heap-held label list — 32 B of entry and list handle, then 2 B per
+/// label. It is the model the Listings 3/5 table-size comparison has always
+/// reported, fixed here rather than taken from sizeof(VidEntry) so that the
+/// paper's bytes column does not move when the host-side layout does (VIDs
+/// keep their labels inline, which is smaller).
+constexpr std::size_t kEntryModelBytes = 32;
+constexpr std::size_t kLabelModelBytes = 2;
+
 void erase_from(std::vector<VidEntry>& v, const Vid& vid) {
   v.erase(std::remove_if(v.begin(), v.end(),
                          [&](const VidEntry& e) { return e.vid == vid; }),
@@ -78,7 +87,7 @@ std::vector<VidEntry> VidTable::remove_port(std::uint32_t port) {
 }
 
 const VidEntry* VidTable::find(const Vid& vid) const {
-  for (const auto& e : entries_) {
+  for (const auto& e : entries_for_root(vid.root())) {
     if (e.vid == vid) return &e;
   }
   return nullptr;
@@ -116,7 +125,7 @@ std::string VidTable::dump() const {
 std::size_t VidTable::memory_bytes() const {
   std::size_t bytes = 0;
   for (const auto& e : entries_) {
-    bytes += sizeof(VidEntry) + e.vid.depth() * sizeof(std::uint16_t);
+    bytes += kEntryModelBytes + e.vid.depth() * kLabelModelBytes;
   }
   return bytes;
 }

@@ -52,8 +52,8 @@ class VidTable {
   /// Paper Listing 5 rendering: one line per port, comma-separated VIDs.
   [[nodiscard]] std::string dump() const;
 
-  /// Approximate resident bytes — compared against the BGP RouteTable in the
-  /// table-size experiment.
+  /// Modelled table bytes (32 B per entry plus 2 B per label) — compared
+  /// against the BGP RouteTable in the table-size experiment.
   [[nodiscard]] std::size_t memory_bytes() const;
 
   void clear() {

@@ -258,6 +258,34 @@ TEST(DecodeRoundTrip, MtpEveryTruncationRejectsOrParses) {
   }
 }
 
+// A VID with more than Vid::kMaxDepth labels is malformed even when every
+// label byte is present: each message type that carries VIDs rejects the
+// whole frame. The same frame with 8 labels parses.
+TEST(DecodeRoundTrip, MtpOversizedVidLabelCountRejects) {
+  const std::vector<std::vector<std::uint8_t>> headers = {
+      {0x01, 2, 0, 0, 0, 1, 1},  // ADVERTISE tier 2, seq 1, one VID
+      {0x02, 1},                 // JOIN_REQUEST, one VID
+      {0x03, 0, 42, 1},          // JOIN_OFFER id 42, one VID
+      {0x05, 0, 9, 1},           // VID_WITHDRAW id 9, one VID
+  };
+  for (const auto& header : headers) {
+    for (int count : {8, 9, 255}) {
+      std::vector<std::uint8_t> bytes = header;
+      bytes.push_back(static_cast<std::uint8_t>(count));
+      for (int i = 0; i < count; ++i) {
+        bytes.push_back(0);
+        bytes.push_back(static_cast<std::uint8_t>(i + 1));
+      }
+      if (count <= static_cast<int>(mtp::Vid::kMaxDepth)) {
+        EXPECT_NO_THROW((void)mtp::decode(bytes)) << int{header[0]};
+      } else {
+        EXPECT_THROW((void)mtp::decode(bytes), util::CodecError)
+            << int{header[0]} << " count " << count;
+      }
+    }
+  }
+}
+
 TEST_P(FuzzSeeds, MtpBitFlipsRejectOrParse) {
   sim::Rng rng(GetParam() * 131);
   for (const auto& valid : mtp_corpus()) {

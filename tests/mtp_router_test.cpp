@@ -292,5 +292,35 @@ INSTANTIATE_TEST_SUITE_P(
                       ClosCase{{6, 3, 2, 6, 1}, 6},
                       ClosCase{{8, 2, 4, 16, 1}, 7}));
 
+// A VID already holding Vid::kMaxDepth labels has no child the wire can
+// carry. A router holding one (here planted, on the wire a crafted
+// JOIN_OFFER) neither advertises nor extends it, so the keep-alive slot and
+// the upstream neighbor carry on as if it were absent.
+TEST(MtpDepthLimit, VidAtMaxDepthIsNeverExtended) {
+  net::SimContext ctx(5);
+  net::Network network(ctx);
+  MtpConfig leaf_cfg;
+  leaf_cfg.tier = 1;
+  leaf_cfg.server_subnet = ip::Ipv4Prefix::parse("192.168.11.0/24");
+  MtpConfig spine_cfg;
+  spine_cfg.tier = 2;
+  MtpConfig top_cfg;
+  top_cfg.tier = 3;
+  auto& leaf = network.add_node<MtpRouter>("leaf", leaf_cfg);
+  auto& spine = network.add_node<MtpRouter>("spine", spine_cfg);
+  auto& top = network.add_node<MtpRouter>("top", top_cfg);
+  network.connect(leaf, spine);
+  network.connect(spine, top);
+  network.start_all();
+  ctx.sched.run_until(ctx.now() + sim::Duration::millis(500));
+  ASSERT_EQ(top.vid_table().size(), 1u);
+
+  spine.debug_add_vid_entry(Vid::parse("11.1.1.1.1.1.1.1"), 1);
+  ctx.sched.run_until(ctx.now() + sim::Duration::millis(500));
+  EXPECT_EQ(top.vid_table().size(), 1u);
+  EXPECT_TRUE(top.vid_table().contains(Vid::parse("11.1.2")));
+  EXPECT_TRUE(spine.neighbor_alive(2));
+}
+
 }  // namespace
 }  // namespace mrmtp::mtp

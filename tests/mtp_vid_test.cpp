@@ -2,6 +2,8 @@
 // including parameterized parse/format round-trip sweeps.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "mtp/vid.hpp"
 #include "mtp/vid_table.hpp"
 #include "sim/random.hpp"
@@ -55,6 +57,46 @@ TEST(VidTest, Ordering) {
   EXPECT_LT(Vid::parse("11.1"), Vid::parse("11.2"));
   EXPECT_LT(Vid::parse("11.9"), Vid::parse("12"));
   EXPECT_EQ(Vid::parse("11.1"), Vid(11).child(1));
+}
+
+TEST(VidTest, OrderingIsLexicographicWithPrefixFirst) {
+  // std::set<Vid>/std::map<Vid, Vid> iterate in this order, and that order
+  // is what JOIN_REQUEST and VID_WITHDRAW put on the wire.
+  const std::vector<Vid> sorted = {Vid::parse("11"), Vid::parse("11.1"),
+                                   Vid::parse("11.1.1"), Vid::parse("11.2"),
+                                   Vid::parse("12")};
+  for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
+    EXPECT_LT(sorted[i], sorted[i + 1]) << sorted[i].str();
+    EXPECT_GT(sorted[i + 1], sorted[i]) << sorted[i].str();
+  }
+  std::set<Vid> set(sorted.rbegin(), sorted.rend());
+  EXPECT_TRUE(std::equal(set.begin(), set.end(), sorted.begin()));
+}
+
+TEST(VidTest, HashValuesArePinned) {
+  // The downward HRW pick keys on these values; a change of the Vid layout
+  // must not move them (values from the FNV-1a fold over the labels).
+  std::hash<Vid> h;
+  EXPECT_EQ(h(Vid::parse("11")), 4953168854211428376ull);
+  EXPECT_EQ(h(Vid::parse("11.1")), 11131229223519726203ull);
+  EXPECT_EQ(h(Vid::parse("11.1.2")), 15318730590406912923ull);
+  EXPECT_EQ(h(Vid::parse("37.4.2.1")), 3690960222858587923ull);
+}
+
+TEST(VidTest, DeeperThanMaxDepthIsMalformed) {
+  for (std::uint8_t count : {std::uint8_t{9}, std::uint8_t{255}}) {
+    util::BufWriter w;
+    w.u8(count);
+    for (int i = 0; i < count; ++i) w.u16(static_cast<std::uint16_t>(i + 1));
+    auto buf = w.take();
+    util::BufReader r(buf);
+    EXPECT_THROW(Vid::deserialize(r), util::CodecError)
+        << "count " << int{count};
+  }
+  EXPECT_THROW(Vid::parse("1.2.3.4.5.6.7.8.9"), util::CodecError);
+  const Vid deepest = Vid::parse("1.2.3.4.5.6.7.8");
+  EXPECT_EQ(deepest.depth(), Vid::kMaxDepth);
+  EXPECT_THROW((void)deepest.child(1), util::CodecError);
 }
 
 TEST(VidTest, HashDistinguishesSiblings) {
@@ -149,6 +191,15 @@ TEST(VidTableTest, MemoryGrowsWithDepthAndCount) {
   VidTable deep;
   deep.add(Vid::parse("11.1.2.3.4.5"), 1);
   EXPECT_GT(deep.memory_bytes(), shallow.memory_bytes());
+}
+
+TEST(VidTableTest, MemoryIsTheLabelListModel) {
+  // Listings 3/5 report 32 B per entry plus 2 B per label, independent of
+  // the in-memory Vid layout.
+  VidTable t;
+  t.add(Vid::parse("11.1.2"), 1);
+  t.add(Vid::parse("12.1"), 2);
+  EXPECT_EQ(t.memory_bytes(), (32u + 3 * 2) + (32u + 2 * 2));
 }
 
 TEST(ExclusionTableTest, ExcludeAndClear) {
