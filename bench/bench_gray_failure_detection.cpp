@@ -9,17 +9,16 @@
 //   * flap storm — six down/up cycles 120 ms apart.
 //
 // Expected shape: MR-MTP's dead interval (100 ms) detects the blackhole
-// ~25x before BFD (300 ms) and ~30x before BGP's 3 s hold timer — but only
+// ~5x before BFD (~250 ms) and ~50x before BGP's 3 s hold timer — but only
 // the starving side learns anything, and MR-MTP has no channel to tell the
-// healthy-looking side, so the stale tree keeps blackholing descending
-// flows for the whole window (the auditor's final sweep flags it; BGP heals
-// bilaterally because the starving side's NOTIFICATION crosses the healthy
-// direction over TCP). Under 50% partial loss the ranking inverts: MR-MTP's
-// every-frame-is-a-keep-alive is blinded by the frames that survive (a 100 ms
-// all-quiet window almost never happens under load), while BFD's paced
-// control stream accumulates misses and detects reliably. The flap storm is
-// detected instantly by everyone (admin-down is visible locally); what
-// differs is data loss. The FabricAuditor runs throughout: `audit` counts
+// healthy-looking side, so the auditor's final sweep still flags the stale
+// tree (BGP heals bilaterally because the starving side's NOTIFICATION
+// crosses the healthy direction over TCP). Under 50% partial loss MR-MTP
+// also detects in every run: the impaired direction carries only its 50 ms
+// keep-alives here, and two lost in a row expire the 100 ms dead timer.
+// BFD's paced control stream detects in every run too, BGP's hold timer in
+// only some. The flap storm is detected instantly by everyone (admin-down is
+// visible locally); what differs is data loss. The FabricAuditor runs throughout: `audit` counts
 // invariant violations in periodic sweeps, `final` a steady-state sweep
 // after the window.
 #include "bench_common.hpp"
@@ -77,11 +76,11 @@ int main() {
 
   std::printf(
       "Shape check: under the one-way blackhole MR-MTP detects within its\n"
-      "100 ms dead interval, BFD at ~300 ms, BGP at its ~3 s hold timer —\n"
-      "but MR-MTP's packet loss stays high because the healthy-looking side\n"
+      "100 ms dead interval, BFD at ~250 ms, BGP at its ~3 s hold timer.\n"
+      "Only MR-MTP's starving side learns of it, so the healthy-looking side\n"
       "keeps its stale tree (nonzero `final` audit column), while BGP heals\n"
       "bilaterally via NOTIFICATION across the healthy direction. Under 50%%\n"
-      "loss the data stream itself keeps MR-MTP's keep-alive fresh, so BFD's\n"
-      "paced control stream detects where MR-MTP stays blind.\n");
+      "loss MR-MTP detects in every run (two lost 50 ms keep-alives expire\n"
+      "its dead timer), BFD in every run, BGP's hold timer in only some.\n");
   return 0;
 }

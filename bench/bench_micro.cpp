@@ -4,9 +4,6 @@
 // counters), scheduler throughput, and full simulated-fabric event rates.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "bgp/message.hpp"
@@ -217,65 +214,8 @@ void BM_BgpUpdateCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_BgpUpdateCodec);
 
-/// Reference binary-heap scheduler: the pre-calendar implementation distilled
-/// to its data structure — a (time, seq, callback) min-heap with lazy
-/// deletion for reschedule. Lives here only as the baseline the calendar
-/// queue is measured against; the simulator itself no longer has a heap.
-class HeapScheduler {
- public:
-  std::uint64_t schedule_at(std::int64_t ns, std::function<void()> fn) {
-    heap_.push_back(Ev{ns, ++seq_, std::move(fn)});
-    std::push_heap(heap_.begin(), heap_.end(), After{});
-    ++live_;
-    return seq_;
-  }
-
-  /// Fires the earliest live event; skips entries invalidated by reschedule.
-  bool step() {
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), After{});
-      Ev e = std::move(heap_.back());
-      heap_.pop_back();
-      if (stale_.erase(e.seq) > 0) continue;  // lazy-deleted husk
-      now_ = e.ns;
-      e.fn();
-      --live_;
-      return true;
-    }
-    return false;
-  }
-
-  /// Lazy-deletion reschedule: the old entry stays in the heap as a husk.
-  std::uint64_t reschedule(std::uint64_t seq, std::int64_t ns,
-                           std::function<void()> fn) {
-    stale_.insert(seq);
-    --live_;
-    return schedule_at(ns, std::move(fn));
-  }
-
-  [[nodiscard]] std::int64_t now() const { return now_; }
-  [[nodiscard]] std::size_t pending() const { return live_; }
-
- private:
-  struct Ev {
-    std::int64_t ns;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct After {  // max-heap comparator inverted -> min on (ns, seq)
-    bool operator()(const Ev& a, const Ev& b) const {
-      return a.ns != b.ns ? a.ns > b.ns : a.seq > b.seq;
-    }
-  };
-  std::vector<Ev> heap_;
-  std::unordered_set<std::uint64_t> stale_;
-  std::uint64_t seq_ = 0;
-  std::size_t live_ = 0;
-  std::int64_t now_ = 0;
-};
-
-/// Deterministic inter-event gap stream (splitmix-style); both scheduler
-/// variants see the identical schedule pattern.
+/// Deterministic inter-event gap stream (splitmix-style), so every run sees
+/// the identical schedule pattern.
 struct GapStream {
   std::uint64_t s = 0x9e3779b97f4a7c15ull;
   std::int64_t next() {
@@ -289,10 +229,9 @@ struct GapStream {
 
 /// Steady-state churn at a fixed population: fire the earliest event,
 /// schedule its replacement at now + gap. This is the fabric's hold pattern
-/// (N armed timers, one event firing at a time) at 1k/100k/1M pending —
-/// the regime where the calendar queue's O(1) bucket insert beats the
-/// heap's O(log n) sift.
-void BM_SchedulerChurnCalendar(benchmark::State& state) {
+/// (N armed timers, one event firing at a time) at 1k/100k/1M pending: one
+/// O(log n) sift-down pop plus one sift-up insert per iteration.
+void BM_SchedulerChurn(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   sim::Scheduler sched;
   GapStream gaps;
@@ -306,32 +245,15 @@ void BM_SchedulerChurnCalendar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.counters["pending"] = static_cast<double>(sched.pending());
 }
-BENCHMARK(BM_SchedulerChurnCalendar)
+BENCHMARK(BM_SchedulerChurn)
     ->Arg(1'000)
     ->Arg(100'000)
     ->Arg(1'000'000);
 
-void BM_SchedulerChurnHeap(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  HeapScheduler sched;
-  GapStream gaps;
-  for (int i = 0; i < n; ++i) {
-    sched.schedule_at(gaps.next(), [] {});
-  }
-  for (auto _ : state) {
-    sched.step();
-    sched.schedule_at(sched.now() + gaps.next(), [] {});
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["pending"] = static_cast<double>(sched.pending());
-}
-BENCHMARK(BM_SchedulerChurnHeap)->Arg(1'000)->Arg(100'000)->Arg(1'000'000);
-
 /// Timer-rearm storm: every iteration pushes one armed timer further out,
 /// round-robin over the population — the keep-alive pattern that motivated
-/// in-place reschedule. The calendar moves the slot's entry hint; the heap
-/// can only lazy-delete, growing a husk per rearm until the husks are popped.
-void BM_SchedulerRescheduleCalendar(benchmark::State& state) {
+/// in-place reschedule: each rearm sifts the event's heap entry down.
+void BM_SchedulerReschedule(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   sim::Scheduler sched;
   GapStream gaps;
@@ -349,32 +271,9 @@ void BM_SchedulerRescheduleCalendar(benchmark::State& state) {
     i = (i + 1) % ids.size();
   }
   state.SetItemsProcessed(state.iterations());
-  state.counters["queue_size"] = static_cast<double>(sched.queue_size());
+  state.counters["pending"] = static_cast<double>(sched.pending());
 }
-BENCHMARK(BM_SchedulerRescheduleCalendar)
-    ->Arg(1'000)
-    ->Arg(100'000)
-    ->Arg(1'000'000);
-
-void BM_SchedulerRescheduleHeap(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  HeapScheduler sched;
-  GapStream gaps;
-  std::vector<std::uint64_t> ids;
-  ids.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    ids.push_back(sched.schedule_at(1'000'000 + gaps.next(), [] {}));
-  }
-  std::int64_t horizon = 2'000'000;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    horizon += gaps.next();
-    ids[i] = sched.reschedule(ids[i], horizon, [] {});
-    i = (i + 1) % ids.size();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SchedulerRescheduleHeap)
+BENCHMARK(BM_SchedulerReschedule)
     ->Arg(1'000)
     ->Arg(100'000)
     ->Arg(1'000'000);

@@ -4,9 +4,10 @@
 // increases".
 //
 // Besides the paper metrics, the sweep doubles as the event-core scalability
-// gate: it records simulator throughput (events/sec) and the calendar-queue
-// high-water mark at each size, and writes everything to
-// BENCH_scalability.json so the perf trajectory is machine-tracked.
+// gate: it records simulator throughput (events/sec) and the scheduler's
+// queue high-water mark (peak pending events) at each size, and writes
+// everything to BENCH_scalability.json so the perf trajectory is
+// machine-tracked.
 #include <algorithm>
 #include <fstream>
 
@@ -101,9 +102,8 @@ int main(int argc, char** argv) {
       "\nShape check: MR-MTP convergence stays pinned at the dead timer and\n"
       "its control bytes grow mildly with fan-out, while BGP's overhead and\n"
       "blast radius grow with the router count — the paper's 'benefits\n"
-      "increase with DCN size' claim. Events/sec and the calendar-queue\n"
-      "high-water mark gate the event core: throughput should fall roughly\n"
-      "linearly with router count, not quadratically, and the queue must\n"
-      "stay within 4x the live-timer population.\n");
+      "increase with DCN size' claim. Events/sec and the queue high-water\n"
+      "mark (peak pending events) gate the event core: throughput should\n"
+      "fall roughly linearly with router count, not quadratically.\n");
   return 0;
 }

@@ -474,10 +474,10 @@ EOF
   cmake --build --preset tsan -j "$jobs" \
     --target buffer_test sim_test net_test util_test overload_damping_test \
              parallel_engine_test lifecycle_test \
-             calendar_queue_property_test buffer_backpressure_test \
+             scheduler_property_test buffer_backpressure_test \
              wcmp_flowlet_test
   ctest --test-dir build-tsan \
-    -R '^(buffer_test|sim_test|net_test|util_test|overload_damping_test|parallel_engine_test|lifecycle_test|calendar_queue_property_test|buffer_backpressure_test|wcmp_flowlet_test)$' \
+    -R '^(buffer_test|sim_test|net_test|util_test|overload_damping_test|parallel_engine_test|lifecycle_test|scheduler_property_test|buffer_backpressure_test|wcmp_flowlet_test)$' \
     --output-on-failure -j "$jobs"
 fi
 

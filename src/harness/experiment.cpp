@@ -288,7 +288,6 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
     result.queue_high_water =
         std::max(result.queue_high_water, sched.queue_high_water());
     result.sched_reschedules += sched.reschedules();
-    result.sched_compactions += sched.compactions();
   }
   if (spec.proto == Proto::kMtp) {
     for (std::uint32_t d = 0; d < dep.router_count(); ++d) {

@@ -112,9 +112,8 @@ struct ExperimentResult {
   /// Event-core / data-path health, the scalability gate's raw inputs.
   std::uint64_t events_fired = 0;
   double wall_seconds = 0;            // host time for the full run
-  std::uint64_t queue_high_water = 0;  // scheduler heap peak (entries)
+  std::uint64_t queue_high_water = 0;  // peak pending events on any shard
   std::uint64_t sched_reschedules = 0;
-  std::uint64_t sched_compactions = 0;
   /// Forwarding-cache counters summed over routers: MTP's VID/up-cache
   /// stats, or the BGP RouteTable's cached-LPM SelectStats — both protocols
   /// now run an epoch-validated candidate cache, so the scalability bench

@@ -160,8 +160,7 @@ Table hot_path_table(Deployment& dep, bool busy_only) {
   table.add_row({"[scheduler]",
                  "events=" + std::to_string(sched.events_fired()),
                  "queue_hw=" + std::to_string(sched.queue_high_water()),
-                 "resched=" + std::to_string(sched.reschedules()),
-                 "compact=" + std::to_string(sched.compactions()), ""});
+                 "resched=" + std::to_string(sched.reschedules()), "", ""});
   const net::BufferPoolStats& bp = net::BufferPool::instance().stats();
   table.add_row({"[buffer-pool]",
                  "allocs=" + std::to_string(bp.slab_allocs),

@@ -47,7 +47,7 @@ class Deployment;
 /// Per-node data-path health: forwards served, allocation-free picks, and
 /// uplink candidate-cache hits/misses with the per-node hit rate, closed by
 /// a TOTAL row and a [scheduler] row (events fired, heap high-water,
-/// reschedules, compactions). With `busy_only` (default) MTP routers that
+/// reschedules). With `busy_only` (default) MTP routers that
 /// forwarded nothing are elided; under BGP only the scheduler row remains.
 [[nodiscard]] Table hot_path_table(Deployment& dep, bool busy_only = true);
 

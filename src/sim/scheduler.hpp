@@ -1,31 +1,21 @@
 // Discrete-event scheduler.
 //
-// A calendar queue (bucket-rotating day array with an overflow ladder) orders
-// events by (time, order key, insertion sequence); plain events carry the
-// maximal order key, so same-instant plain events fire in insertion order and
-// every run stays bit-reproducible. Keyed events (schedule_at_ordered) let
-// the sharded engine break same-instant ties by a sharding-invariant key
-// instead of by which scheduler happened to see the insert first.
+// An indexed 4-ary min-heap orders events by (time, order key, insertion
+// sequence); plain events carry the maximal order key, so same-instant plain
+// events fire in insertion order and every run stays bit-reproducible. Keyed
+// events (schedule_at_ordered) let the sharded engine break same-instant ties
+// by a sharding-invariant key instead of by which scheduler happened to see
+// the insert first.
 //
-// Layout. Callback state lives in a slab of Slots (freelist-recycled, with a
-// generation counter so EventIds stay O(1) to validate); the day array and
-// overflow hold lightweight Entry hints:
-//   * schedule/pop are O(1) amortized: an event lands in the day bucket
-//     `(at >> width_shift) & (buckets - 1)`; pop scans forward from the
-//     current virtual day, and bucket width tracks the mean event spacing so
-//     a bucket holds O(1) live entries.
-//   * Events beyond the day horizon wait in the unsorted overflow ladder;
-//     when a forward scan laps the whole day array without a hit the queue
-//     re-seeds (one O(pending) rebuild) around the new earliest deadline.
-//   * The slab is authoritative for deadlines; entries are hints:
-//     cancellation is O(1) (free the slot, the entry dies lazily) and moving
-//     a deadline *later* — the keep-alive/dead-timer reset that fires on
-//     every data frame — touches only the slot. Moving a deadline *earlier*
-//     plants one new entry.
-//   * Bounded memory: stale entries are compacted away whenever they
-//     outgrow the live events 4:1, so queue_size() stays within
-//     max(64, 4 x pending()) no matter how hot the cancel/reschedule churn,
-//     and the day array is resized to O(pending) buckets at every rebuild.
+// Layout. Callbacks live in a slab of Slots (freelist-recycled, with a
+// generation counter so EventIds stay O(1) to validate); the heap holds one
+// {deadline, order, fifo, slot} entry per pending event, and every Slot
+// records its entry's heap position:
+//   * schedule is a sift-up, pop a sift-down: O(log n).
+//   * cancel removes the entry in place and reschedule moves it in place
+//     (sift up or down), keeping its insertion sequence: O(log n).
+//   * The heap holds exactly the pending events, so queue_size() ==
+//     pending() after every call and no stale entry ever needs discarding.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +42,6 @@ class Scheduler {
   /// instant always fire first, then plain events in insertion order.
   static constexpr std::uint64_t kUnordered = UINT64_MAX;
 
-  Scheduler();
-
   /// Current simulation time (time of the most recently fired event).
   [[nodiscard]] Time now() const { return now_; }
 
@@ -74,15 +62,15 @@ class Scheduler {
   /// Cancels a pending event; no-op if already fired or cancelled.
   void cancel(EventId id);
 
-  /// Moves a pending event's deadline to `at` (clamped to now()); returns
-  /// false if the event already fired or was cancelled. O(1) when the
-  /// deadline moves later — the per-frame keep-alive reset path.
+  /// Moves a pending event's deadline to `at` (clamped to now()), keeping its
+  /// insertion sequence; returns false if the event already fired or was
+  /// cancelled.
   bool reschedule(EventId id, Time at);
 
-  /// Deadline of the earliest live event, or empty when none is pending.
-  /// Lazily discards stale entries, so it is not const; the sharded engine
-  /// calls this at every barrier to compute the safe horizons.
-  [[nodiscard]] std::optional<Time> next_time();
+  /// Deadline of the earliest pending event, or empty when none is pending.
+  /// The sharded engine calls this at every barrier to compute the safe
+  /// horizons.
+  [[nodiscard]] std::optional<Time> next_time() const;
 
   /// Fires the next event; returns false when the queue is empty.
   bool step();
@@ -94,89 +82,64 @@ class Scheduler {
   /// guard; returns false if the guard tripped).
   bool run(std::uint64_t max_events = UINT64_MAX);
 
-  [[nodiscard]] bool empty() const { return live_ == 0; }
-  /// Live (uncancelled) events.
-  [[nodiscard]] std::size_t pending() const { return live_; }
-  /// Queue entries across the day array and overflow ladder, including stale
-  /// hints awaiting lazy discard/compaction; bounded by max(64, 4 x
-  /// pending()) after every public call.
-  [[nodiscard]] std::size_t queue_size() const { return entries_; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  /// Pending (scheduled, not yet fired or cancelled) events.
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  /// Heap entries; always equal to pending().
+  [[nodiscard]] std::size_t queue_size() const { return heap_.size(); }
   [[nodiscard]] std::size_t queue_high_water() const {
     return queue_high_water_;
   }
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
   [[nodiscard]] std::uint64_t reschedules() const { return reschedules_; }
-  [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
+  /// Always 0: the heap never rebuilds. Kept for readers of the counter.
+  [[nodiscard]] std::uint64_t compactions() const { return 0; }
 
  private:
-  /// Slab cell: authoritative deadline + callback for one scheduled event.
-  /// `gen` advances on every free, invalidating outstanding EventIds and
-  /// entry hints in O(1).
+  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
+
+  /// Slab cell: the callback of one scheduled event and its heap position.
+  /// `gen` advances on every free, invalidating outstanding EventIds in O(1).
   struct Slot {
-    Time at;
-    std::uint64_t order = kUnordered;
-    std::uint64_t fifo = 0;  // insertion sequence, preserved across reschedule
     Callback fn;
     std::uint32_t gen = 1;
-    bool live = false;
+    std::uint32_t pos = kNotQueued;
   };
 
-  /// Queue hint: a (deadline, tie-break) snapshot pointing into the slab.
-  /// Stale once the slot was freed or its deadline moved.
+  /// Heap entry for one pending event.
   struct Entry {
     std::int64_t at_ns;
     std::uint64_t order;
-    std::uint64_t fifo;
+    std::uint64_t fifo;  // insertion sequence, preserved across reschedule
     std::uint32_t slot;
-    std::uint32_t gen;
-    /// Min-queue ordering: (time, order key, insertion sequence).
-    [[nodiscard]] bool after(const Entry& o) const {
-      if (at_ns != o.at_ns) return at_ns > o.at_ns;
-      if (order != o.order) return order > o.order;
-      return fifo > o.fifo;
+    /// Min-heap ordering: (time, order key, insertion sequence).
+    [[nodiscard]] bool before(const Entry& o) const {
+      if (at_ns != o.at_ns) return at_ns < o.at_ns;
+      if (order != o.order) return order < o.order;
+      return fifo < o.fifo;
     }
   };
 
-  [[nodiscard]] std::int64_t vday(std::int64_t at_ns) const {
-    return at_ns >> width_shift_;
-  }
   [[nodiscard]] Slot* slot_of(EventId id);
-  std::uint32_t alloc_slot();
   void free_slot(std::uint32_t idx);
-  /// Places a hint, winding the scan cursor back for in-day early inserts.
-  void insert_entry(Entry e);
-  /// Earliest valid entry: (bucket index, position is always the bucket
-  /// top). Chases stale hints; returns false when nothing is pending.
-  bool peek(Entry& out);
-  /// Pops the current bucket top (must be the entry peek returned).
-  void pop_top(const Entry& e);
-  /// Rebuilds day array + overflow from the live slots, re-sizing the bucket
-  /// count and width to the current load (one entry per live event).
-  void compact();
-  /// Compacts when stale entries dominate (entries > max(64, 4 x pending)).
-  void maybe_compact();
+  /// Stores `e` at heap index `i` and records the position in its slot.
+  void place(std::size_t i, const Entry& e);
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  /// Removes heap index `i`, refilling the hole from the back.
+  void remove_at(std::size_t i);
+  /// Pops the root, frees its slot, advances the clock and runs it.
+  void fire_root();
 
   Time now_ = Time::zero();
   std::uint64_t next_fifo_ = 1;
   std::uint64_t fired_ = 0;
   std::uint64_t reschedules_ = 0;
-  std::uint64_t compactions_ = 0;
   std::size_t queue_high_water_ = 0;
 
-  // Slab.
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
-  std::size_t live_ = 0;
-
-  // Calendar: buckets_[v & mask] holds entries of virtual day v as a small
-  // binary min-heap; entries at or beyond day_end_vday_ wait in overflow_.
-  std::vector<std::vector<Entry>> buckets_;
-  std::vector<Entry> overflow_;
-  std::size_t entries_ = 0;  // day + overflow, stale included
-  int width_shift_ = 12;     // bucket width = 2^shift ns (4.096 us default)
-  std::uint64_t mask_ = 0;   // bucket count - 1 (power of two)
-  std::int64_t cur_vday_ = 0;      // forward-scan cursor
-  std::int64_t day_end_vday_ = 0;  // first vday routed to overflow
+  std::vector<Entry> heap_;  // 4-ary: children of i are 4i+1 .. 4i+4
 };
 
 /// Restartable timer built on Scheduler; the workhorse behind every

@@ -316,7 +316,7 @@ TEST(ParallelDeterminism, BgpBfdFourShardsMatchOneShard) {
 // agree on every merged metric — the per-shard instrumentation slots, the
 // per-router and per-link sums, the probe flow and the audit verdicts —
 // under both MR-MTP and BGP+BFD. Only per-scheduler internals (queue
-// high-water, reschedules, compactions) and engine telemetry may differ.
+// high-water, reschedules) and engine telemetry may differ.
 TEST(ParallelDeterminism, ExperimentRunnerMergesIdentically) {
   for (harness::Proto proto : {harness::Proto::kMtp, harness::Proto::kBgpBfd}) {
     harness::ExperimentSpec spec;
