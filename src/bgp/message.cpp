@@ -10,7 +10,7 @@ constexpr std::uint8_t kAttrAsPath = 2;
 constexpr std::uint8_t kAttrNextHop = 3;
 constexpr std::uint8_t kAsSequence = 2;
 
-void write_prefix(util::BufWriter& w, const ip::Ipv4Prefix& p) {
+void write_prefix(net::BufferWriter& w, const ip::Ipv4Prefix& p) {
   w.u8(p.length());
   std::uint32_t v = p.network().value();
   for (int i = 0; i < (p.length() + 7) / 8; ++i) {
@@ -28,17 +28,61 @@ ip::Ipv4Prefix read_prefix(util::BufReader& r) {
   return {ip::Ipv4Addr(v), len};
 }
 
-void write_header(util::BufWriter& w, MessageType type) {
+void write_header(net::BufferWriter& w, MessageType type) {
   for (int i = 0; i < 16; ++i) w.u8(0xff);  // marker
-  w.u16(0);                                 // length, patched later
+  w.u16(0);                                 // length, patched by finish()
   w.u8(static_cast<std::uint8_t>(type));
+}
+
+net::Buffer finish(net::BufferWriter& w) {
+  w.patch_u16(16, static_cast<std::uint16_t>(w.size()));
+  return w.take();
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> encode(const BgpMessage& msg) {
-  util::BufWriter w(64);
+net::Buffer encode(const UpdateMessage& update) {
+  net::BufferWriter w(64);
+  write_header(w, MessageType::kUpdate);
+  // Withdrawn routes.
+  std::size_t withdrawn_len_at = w.size();
+  w.u16(0);
+  for (const auto& p : update.withdrawn) write_prefix(w, p);
+  w.patch_u16(withdrawn_len_at,
+              static_cast<std::uint16_t>(w.size() - withdrawn_len_at - 2));
+  // Path attributes.
+  std::size_t attrs_len_at = w.size();
+  w.u16(0);
+  if (update.has_nlri()) {
+    w.u8(kAttrFlagsTransitive);
+    w.u8(kAttrOrigin);
+    w.u8(1);
+    w.u8(0);  // IGP
+    w.u8(kAttrFlagsTransitive);
+    w.u8(kAttrAsPath);
+    w.u8(static_cast<std::uint8_t>(
+        update.as_path.empty() ? 0 : 2 + 4 * update.as_path.size()));
+    if (!update.as_path.empty()) {
+      w.u8(kAsSequence);
+      w.u8(static_cast<std::uint8_t>(update.as_path.size()));
+      for (std::uint32_t asn : update.as_path) w.u32(asn);
+    }
+    w.u8(kAttrFlagsTransitive);
+    w.u8(kAttrNextHop);
+    w.u8(4);
+    w.u32(update.next_hop.value());
+  }
+  w.patch_u16(attrs_len_at,
+              static_cast<std::uint16_t>(w.size() - attrs_len_at - 2));
+  for (const auto& p : update.nlri) write_prefix(w, p);
+  return finish(w);
+}
 
+net::Buffer encode(const BgpMessage& msg) {
+  if (const auto* update = std::get_if<UpdateMessage>(&msg)) {
+    return encode(*update);
+  }
+  net::BufferWriter w(64);
   if (std::holds_alternative<KeepaliveMessage>(msg)) {
     write_header(w, MessageType::kKeepalive);
   } else if (const auto* open = std::get_if<OpenMessage>(&msg)) {
@@ -49,61 +93,35 @@ std::vector<std::uint8_t> encode(const BgpMessage& msg) {
     w.u16(open->hold_time_s);
     w.u32(open->bgp_id);
     w.u8(0);  // no optional parameters
-  } else if (const auto* notif = std::get_if<NotificationMessage>(&msg)) {
-    write_header(w, MessageType::kNotification);
-    w.u8(notif->code);
-    w.u8(notif->subcode);
   } else {
-    const auto& update = std::get<UpdateMessage>(msg);
-    write_header(w, MessageType::kUpdate);
-    // Withdrawn routes.
-    std::size_t withdrawn_len_at = w.size();
-    w.u16(0);
-    for (const auto& p : update.withdrawn) write_prefix(w, p);
-    w.patch_u16(withdrawn_len_at,
-                static_cast<std::uint16_t>(w.size() - withdrawn_len_at - 2));
-    // Path attributes.
-    std::size_t attrs_len_at = w.size();
-    w.u16(0);
-    if (update.has_nlri()) {
-      w.u8(kAttrFlagsTransitive);
-      w.u8(kAttrOrigin);
-      w.u8(1);
-      w.u8(0);  // IGP
-      w.u8(kAttrFlagsTransitive);
-      w.u8(kAttrAsPath);
-      w.u8(static_cast<std::uint8_t>(
-          update.as_path.empty() ? 0 : 2 + 4 * update.as_path.size()));
-      if (!update.as_path.empty()) {
-        w.u8(kAsSequence);
-        w.u8(static_cast<std::uint8_t>(update.as_path.size()));
-        for (std::uint32_t asn : update.as_path) w.u32(asn);
-      }
-      w.u8(kAttrFlagsTransitive);
-      w.u8(kAttrNextHop);
-      w.u8(4);
-      w.u32(update.next_hop.value());
-    }
-    w.patch_u16(attrs_len_at,
-                static_cast<std::uint16_t>(w.size() - attrs_len_at - 2));
-    for (const auto& p : update.nlri) write_prefix(w, p);
+    const auto& notif = std::get<NotificationMessage>(msg);
+    write_header(w, MessageType::kNotification);
+    w.u8(notif.code);
+    w.u8(notif.subcode);
   }
+  return finish(w);
+}
 
-  auto out = w.take();
-  out[16] = static_cast<std::uint8_t>(out.size() >> 8);
-  out[17] = static_cast<std::uint8_t>(out.size() & 0xff);
-  return out;
+void MessageReader::append(std::span<const std::uint8_t> data) {
+  if (head_ > 0) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  buffer_.insert(buffer_.end(), data.begin(), data.end());
 }
 
 std::optional<BgpMessage> MessageReader::next() {
-  if (buffer_.size() < kHeaderSize) return std::nullopt;
-  std::size_t length = (static_cast<std::size_t>(buffer_[16]) << 8) | buffer_[17];
+  const std::uint8_t* at = buffer_.data() + head_;
+  const std::size_t available = buffer_.size() - head_;
+  if (available < kHeaderSize) return std::nullopt;
+  std::size_t length = (static_cast<std::size_t>(at[16]) << 8) | at[17];
   if (length < kHeaderSize || length > 4096) {
     throw util::CodecError("BGP: bad message length");
   }
-  if (buffer_.size() < length) return std::nullopt;
+  if (available < length) return std::nullopt;
 
-  util::BufReader r(std::span<const std::uint8_t>(buffer_.data(), length));
+  util::BufReader r(std::span<const std::uint8_t>(at, length));
   for (int i = 0; i < 16; ++i) {
     if (r.u8() != 0xff) throw util::CodecError("BGP: bad marker");
   }
@@ -168,14 +186,18 @@ std::optional<BgpMessage> MessageReader::next() {
         }
       }
       while (r.remaining() > 0) update.nlri.push_back(read_prefix(r));
-      msg = update;
+      msg = std::move(update);
       break;
     }
     default:
       throw util::CodecError("BGP: unknown message type");
   }
 
-  buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<long>(length));
+  head_ += length;
+  if (head_ == buffer_.size()) {
+    buffer_.clear();
+    head_ = 0;
+  }
   return msg;
 }
 

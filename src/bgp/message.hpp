@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ip/addr.hpp"
+#include "net/buffer.hpp"
 #include "util/byte_io.hpp"
 
 namespace mrmtp::bgp {
@@ -52,23 +53,29 @@ struct KeepaliveMessage {};
 using BgpMessage = std::variant<OpenMessage, UpdateMessage,
                                 NotificationMessage, KeepaliveMessage>;
 
-[[nodiscard]] std::vector<std::uint8_t> encode(const BgpMessage& msg);
+/// Serializes into a pooled buffer behind Buffer::kDefaultHeadroom, so
+/// TCP-lite and IP prepend their headers in place.
+[[nodiscard]] net::Buffer encode(const BgpMessage& msg);
+/// The UPDATE case without building a variant (the speaker reuses one
+/// UpdateMessage for every UPDATE it sends).
+[[nodiscard]] net::Buffer encode(const UpdateMessage& update);
 
 /// Reassembles BGP messages from TCP stream bytes.
 class MessageReader {
  public:
-  void append(std::span<const std::uint8_t> data) {
-    buffer_.insert(buffer_.end(), data.begin(), data.end());
-  }
+  void append(std::span<const std::uint8_t> data);
 
   /// Extracts the next complete message; std::nullopt if more bytes are
   /// needed. Throws util::CodecError on malformed input (session reset).
   std::optional<BgpMessage> next();
 
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered() const { return buffer_.size() - head_; }
 
  private:
+  /// Stream bytes; the unread ones start at head_ (consumed messages are
+  /// dropped on the next append instead of shifting the tail per message).
   std::vector<std::uint8_t> buffer_;
+  std::size_t head_ = 0;
 };
 
 }  // namespace mrmtp::bgp

@@ -4,12 +4,80 @@
 #include <cmath>
 
 #include "net/link.hpp"
+#include "util/hash.hpp"
 
 namespace mrmtp::bgp {
 
 namespace {
 constexpr std::uint16_t kEphemeralBase = 20000;
+
+std::uint64_t hash_path(std::span<const std::uint32_t> path) {
+  std::uint64_t h = util::mix64(path.size());
+  for (std::uint32_t asn : path) h = util::mix64(h ^ asn);
+  return h;
 }
+}  // namespace
+
+// --- AsPathTable -----------------------------------------------------------
+
+BgpRouter::PathId BgpRouter::AsPathTable::intern(
+    std::span<const std::uint32_t> path) {
+  const std::uint64_t h = hash_path(path);
+  const std::size_t mask = index_.size() - 1;
+  if (!index_.empty()) {
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+      const PathId id = index_[i];
+      if (id == kNoPath) break;
+      const Entry& e = entries_[id];
+      if (e.hash == h && std::ranges::equal(get(id), path)) return id;
+    }
+  }
+  const auto id = static_cast<PathId>(entries_.size());
+  entries_.push_back(Entry{static_cast<std::uint32_t>(words_.size()),
+                           static_cast<std::uint32_t>(path.size()), h});
+  words_.insert(words_.end(), path.begin(), path.end());
+  if (2 * entries_.size() > index_.size()) {
+    // Grow and rehash: at most half full keeps probe chains short.
+    index_.assign(std::max<std::size_t>(16, 2 * index_.size()), kNoPath);
+    const std::size_t grown = index_.size() - 1;
+    for (PathId e = 0; e < entries_.size(); ++e) {
+      std::size_t i = entries_[e].hash & grown;
+      while (index_[i] != kNoPath) i = (i + 1) & grown;
+      index_[i] = e;
+    }
+  } else {
+    std::size_t i = h & mask;
+    while (index_[i] != kNoPath) i = (i + 1) & mask;
+    index_[i] = id;
+  }
+  return id;
+}
+
+BgpRouter::PathId BgpRouter::AsPathTable::prepend(std::uint32_t asn,
+                                                  PathId tail) {
+  // Built in scratch_: interning may grow words_, which `get(tail)` views.
+  scratch_.clear();
+  scratch_.push_back(asn);
+  const auto rest = get(tail);
+  scratch_.insert(scratch_.end(), rest.begin(), rest.end());
+  return intern(scratch_);
+}
+
+bool BgpRouter::AsPathTable::contains(PathId id, std::uint32_t asn) const {
+  return std::ranges::find(get(id), asn) != get(id).end();
+}
+
+bool BgpRouter::AsPathTable::less(PathId a, PathId b) const {
+  return a != b && std::ranges::lexicographical_compare(get(a), get(b));
+}
+
+void BgpRouter::AsPathTable::clear() {
+  words_.clear();
+  entries_.clear();
+  index_.clear();
+}
+
+// --- BgpRouter -------------------------------------------------------------
 
 BgpRouter::BgpRouter(net::SimContext& ctx, std::string name, std::uint32_t tier,
                      BgpConfig config)
@@ -82,7 +150,7 @@ void BgpRouter::start() {
   }
 
   // Seed the Loc-RIB with locally originated prefixes.
-  for (const auto& prefix : config_.originate) run_decision(prefix);
+  for (const auto& prefix : config_.originate) run_decision(prefix_id(prefix));
 
   for (auto& p : peers_) start_peer(*p);
 }
@@ -107,8 +175,9 @@ void BgpRouter::stop() {
              [](ip::Ipv4Addr, ip::Ipv4Addr, const transport::UdpHeader&,
                 std::span<const std::uint8_t>) {});
   }
-  adj_rib_in_.clear();
-  loc_rib_.clear();
+  ribs_.clear();
+  by_prefix_.clear();
+  paths_.clear();
   tcp().shutdown();
   // Learned routes die with the control plane; connected routes are
   // interface configuration and survive the reboot.
@@ -129,8 +198,8 @@ void BgpRouter::drain() {
   // RIB is untouched so in-flight traffic keeps forwarding until the reboot.
   for (auto& peer : peers_) {
     if (peer->state != SessionState::kEstablished) continue;
-    for (const auto& [prefix, path] : peer->advertised) {
-      peer->pending.insert(prefix);
+    for (PrefixId id = 0; id < peer->advertised.size(); ++id) {
+      if (peer->advertised[id] != kNoPath) mark_pending(*peer, id);
     }
     flush_peer(*peer);
   }
@@ -188,8 +257,11 @@ void BgpRouter::session_established(Peer& peer) {
   peer.keepalive_timer->start(jittered(peer, config_.timers.keepalive));
   peer.hold_timer->start(config_.timers.hold);
   // Initial full-table advertisement.
-  for (const auto& [prefix, paths] : loc_rib_) peer.pending.insert(prefix);
-  for (const auto& prefix : config_.originate) peer.pending.insert(prefix);
+  for (PrefixId id : by_prefix_) {
+    if (!ribs_[id].chosen.empty() || ribs_[id].originated) {
+      mark_pending(peer, id);
+    }
+  }
   flush_peer(peer);
 }
 
@@ -225,13 +297,18 @@ void BgpRouter::drop_session(Peer& peer, std::string_view reason) {
     on_session_down(ctx_.now(), peer.cfg.peer_addr, reason);
   }
   if (was_established) {
-    // Flush everything learned from this peer and reconverge.
-    std::vector<ip::Ipv4Prefix> affected;
-    for (auto& [prefix, paths] : adj_rib_in_) {
-      if (paths.erase(peer.index) > 0) affected.push_back(prefix);
+    // Flush everything learned from this peer and reconverge, prefixes in
+    // ascending order.
+    std::vector<PrefixId> affected;
+    for (PrefixId id : by_prefix_) {
+      if (std::erase_if(ribs_[id].in, [&peer](const Path& p) {
+            return p.peer == peer.index;
+          }) > 0) {
+        affected.push_back(id);
+      }
     }
-    for (const auto& prefix : affected) {
-      if (run_decision(prefix)) schedule_advertisements(prefix);
+    for (PrefixId id : affected) {
+      if (run_decision(id)) schedule_advertisements(id);
     }
   }
   schedule_retry(peer);
@@ -329,97 +406,119 @@ void BgpRouter::handle_message(Peer& peer, const BgpMessage& msg) {
 
 void BgpRouter::send_message(Peer& peer, const BgpMessage& msg) {
   if (peer.conn == nullptr) return;
-  net::TrafficClass tc = std::holds_alternative<UpdateMessage>(msg)
-                             ? net::TrafficClass::kBgpUpdate
-                             : net::TrafficClass::kBgpKeepalive;
-  if (std::holds_alternative<UpdateMessage>(msg)) {
-    ++stats_.updates_sent;
-    if (on_update_activity) on_update_activity(ctx_.now());
-  }
-  peer.conn->send(encode(msg), tc);
+  peer.conn->send(encode(msg), net::TrafficClass::kBgpKeepalive);
+}
+
+void BgpRouter::send_update(Peer& peer, const UpdateMessage& update) {
+  if (peer.conn == nullptr) return;
+  ++stats_.updates_sent;
+  if (on_update_activity) on_update_activity(ctx_.now());
+  peer.conn->send(encode(update), net::TrafficClass::kBgpUpdate);
+}
+
+BgpRouter::PrefixId BgpRouter::prefix_id(ip::Ipv4Prefix prefix) {
+  auto it = std::ranges::lower_bound(
+      by_prefix_, prefix, {}, [this](PrefixId id) { return ribs_[id].prefix; });
+  if (it != by_prefix_.end() && ribs_[*it].prefix == prefix) return *it;
+  const auto id = static_cast<PrefixId>(ribs_.size());
+  PrefixRib& rib = ribs_.emplace_back();
+  rib.prefix = prefix;
+  rib.originated = originates(prefix);
+  by_prefix_.insert(it, id);
+  return id;
+}
+
+std::optional<BgpRouter::PrefixId> BgpRouter::find_prefix(
+    ip::Ipv4Prefix prefix) const {
+  auto it = std::ranges::lower_bound(
+      by_prefix_, prefix, {}, [this](PrefixId id) { return ribs_[id].prefix; });
+  if (it != by_prefix_.end() && ribs_[*it].prefix == prefix) return *it;
+  return std::nullopt;
 }
 
 void BgpRouter::process_update(Peer& peer, const UpdateMessage& update) {
-  std::vector<ip::Ipv4Prefix> affected;
-
-  for (const auto& prefix : update.withdrawn) {
-    auto it = adj_rib_in_.find(prefix);
-    if (it != adj_rib_in_.end() && it->second.erase(peer.index) > 0) {
-      affected.push_back(prefix);
-    }
-  }
-
-  if (update.has_nlri()) {
-    // Receiver-side loop check: discard paths containing our own ASN.
-    bool loop = std::find(update.as_path.begin(), update.as_path.end(),
-                          config_.asn) != update.as_path.end();
-    if (!loop) {
-      for (const auto& prefix : update.nlri) {
-        adj_rib_in_[prefix][peer.index] =
-            PathInfo{update.as_path, update.next_hop, peer.index};
-        affected.push_back(prefix);
-      }
-    }
-  }
-
-  for (const auto& prefix : affected) {
-    if (run_decision(prefix)) schedule_advertisements(prefix);
-  }
-}
-
-bool BgpRouter::run_decision(ip::Ipv4Prefix prefix) {
-  std::vector<PathInfo> chosen;
-
-  if (originates(prefix)) {
-    chosen.push_back(PathInfo{{}, ip::Ipv4Addr(), SIZE_MAX});
-  } else {
-    auto it = adj_rib_in_.find(prefix);
-    if (it != adj_rib_in_.end()) {
-      std::size_t best_len = SIZE_MAX;
-      for (const auto& [peer_index, path] : it->second) {
-        if (peers_[peer_index]->state != SessionState::kEstablished) continue;
-        best_len = std::min(best_len, path.as_path.size());
-      }
-      for (const auto& [peer_index, path] : it->second) {
-        if (peers_[peer_index]->state != SessionState::kEstablished) continue;
-        if (path.as_path.size() == best_len &&
-            (config_.ecmp || chosen.empty())) {
-          chosen.push_back(path);
-        }
-      }
-    }
-  }
-
-  auto same = [](const std::vector<PathInfo>& a, const std::vector<PathInfo>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (a[i].peer_index != b[i].peer_index ||
-          a[i].next_hop != b[i].next_hop || a[i].as_path != b[i].as_path) {
-        return false;
-      }
-    }
-    return true;
+  // Apply the whole UPDATE to the Adj-RIB-In, then decide each affected
+  // prefix in message order. The scratch list is taken, not borrowed, so a
+  // nested call could never clobber it.
+  std::vector<PrefixId> affected = std::move(affected_);
+  affected.clear();
+  const auto peer_slot = static_cast<std::uint32_t>(peer.index);
+  auto slot_of = [peer_slot](std::vector<Path>& in) {
+    return std::ranges::lower_bound(in, peer_slot, {}, &Path::peer);
   };
 
-  auto it = loc_rib_.find(prefix);
-  if (it != loc_rib_.end() && same(it->second, chosen)) return false;
-  if (it == loc_rib_.end() && chosen.empty()) return false;
-
-  if (chosen.empty()) {
-    loc_rib_.erase(prefix);
-  } else {
-    loc_rib_[prefix] = chosen;
+  for (const auto& prefix : update.withdrawn) {
+    auto id = find_prefix(prefix);
+    if (!id) continue;
+    std::vector<Path>& in = ribs_[*id].in;
+    auto it = slot_of(in);
+    if (it != in.end() && it->peer == peer_slot) {
+      in.erase(it);
+      affected.push_back(*id);
+    }
   }
 
+  // Receiver-side loop check: discard paths containing our own ASN.
+  if (update.has_nlri() &&
+      std::ranges::find(update.as_path, config_.asn) == update.as_path.end()) {
+    const Path path{peer_slot, paths_.intern(update.as_path), update.next_hop};
+    for (const auto& prefix : update.nlri) {
+      const PrefixId id = prefix_id(prefix);
+      std::vector<Path>& in = ribs_[id].in;
+      auto it = slot_of(in);
+      if (it != in.end() && it->peer == peer_slot) {
+        *it = path;
+      } else {
+        in.insert(it, path);
+      }
+      affected.push_back(id);
+    }
+  }
+
+  for (PrefixId id : affected) {
+    if (run_decision(id)) schedule_advertisements(id);
+  }
+  affected_ = std::move(affected);
+}
+
+bool BgpRouter::run_decision(PrefixId id) {
+  PrefixRib& rib = ribs_[id];
+  std::vector<Path>& chosen = decision_;
+  chosen.clear();
+  if (rib.originated) {
+    chosen.push_back(Path{kLocal, paths_.intern({}), ip::Ipv4Addr()});
+  } else {
+    // Shortest AS path wins; with multipath relax every path of that
+    // length joins the ECMP set, in peer-index order.
+    std::size_t best_len = SIZE_MAX;
+    for (const Path& p : rib.in) {
+      if (peers_[p.peer]->state != SessionState::kEstablished) continue;
+      best_len = std::min(best_len, paths_.get(p.as_path).size());
+    }
+    for (const Path& p : rib.in) {
+      if (peers_[p.peer]->state != SessionState::kEstablished) continue;
+      if (paths_.get(p.as_path).size() == best_len &&
+          (config_.ecmp || chosen.empty())) {
+        chosen.push_back(p);
+      }
+    }
+  }
+
+  if (chosen == rib.chosen) return false;
+  rib.chosen.assign(chosen.begin(), chosen.end());
+  rib.out = chosen.empty() ? kNoPath
+                           : paths_.prepend(config_.asn, chosen.front().as_path);
+
   // Install into the forwarding table (originated prefixes are connected).
-  if (!originates(prefix)) {
+  if (!rib.originated) {
     // Static WCMP: when weighted path selection is enabled, each next hop
     // carries the configured capacity of its egress link (Mb/s) so the
     // weighted rendezvous pick splits flows capacity-proportionally across
     // a mixed-speed ECMP group.
     const bool wcmp = path_select() != util::PathSelect::kHrw;
-    std::vector<ip::NextHop> nexthops;
-    for (const auto& path : (chosen.empty() ? std::vector<PathInfo>{} : chosen)) {
+    std::vector<ip::NextHop>& nexthops = nexthops_;
+    nexthops.clear();
+    for (const Path& path : chosen) {
       std::uint32_t port_number = egress_port_for(path.next_hop);
       if (port_number == 0) continue;
       ip::NextHop nh{path.next_hop, port_number};
@@ -431,6 +530,7 @@ bool BgpRouter::run_decision(ip::Ipv4Prefix prefix) {
       }
       nexthops.push_back(nh);
     }
+    const ip::Ipv4Prefix prefix = rib.prefix;
     const ip::Route* before = routes().exact(prefix);
     bool had = before != nullptr && before->proto == ip::RouteProto::kBgp;
     if (nexthops.empty()) {
@@ -439,11 +539,9 @@ bool BgpRouter::run_decision(ip::Ipv4Prefix prefix) {
         note_rib_change();
       }
     } else {
-      if (!had || before->nexthops != [&] {
-            auto sorted = nexthops;
-            std::sort(sorted.begin(), sorted.end());
-            return sorted;
-          }()) {
+      sorted_nexthops_.assign(nexthops.begin(), nexthops.end());
+      std::sort(sorted_nexthops_.begin(), sorted_nexthops_.end());
+      if (!had || before->nexthops != sorted_nexthops_) {
         if (wcmp) {
           for (const ip::NextHop& nh : nexthops) {
             const net::Port& eg = port(nh.port);
@@ -458,49 +556,70 @@ bool BgpRouter::run_decision(ip::Ipv4Prefix prefix) {
   return true;
 }
 
-void BgpRouter::schedule_advertisements(ip::Ipv4Prefix prefix) {
+void BgpRouter::schedule_advertisements(PrefixId id) {
   for (auto& peer : peers_) {
-    peer->pending.insert(prefix);
+    mark_pending(*peer, id);
     flush_peer(*peer);
   }
+}
+
+void BgpRouter::mark_pending(Peer& peer, PrefixId id) {
+  auto it = std::ranges::lower_bound(
+      peer.pending, ribs_[id].prefix, {},
+      [this](PrefixId p) { return ribs_[p].prefix; });
+  if (it == peer.pending.end() || *it != id) peer.pending.insert(it, id);
 }
 
 void BgpRouter::flush_peer(Peer& peer) {
   if (peer.state != SessionState::kEstablished) return;
   if (peer.mrai_timer->running()) return;  // batched until MRAI fires
 
-  UpdateMessage withdraw_msg;
-  // Group NLRI by identical (AS path, next hop).
-  std::map<std::pair<std::vector<std::uint32_t>, std::uint32_t>,
-           std::vector<ip::Ipv4Prefix>>
-      groups;
-
-  for (const auto& prefix : peer.pending) {
-    auto want = advertisement_for(peer, prefix);
-    auto have = peer.advertised.find(prefix);
-    if (want.has_value()) {
-      if (have == peer.advertised.end() || have->second != want->as_path) {
-        groups[{want->as_path, want->next_hop.value()}].push_back(prefix);
-        peer.advertised[prefix] = want->as_path;
+  UpdateMessage& msg = update_;
+  msg.withdrawn.clear();
+  msg.as_path.clear();
+  msg.nlri.clear();
+  adverts_.clear();
+  if (peer.advertised.size() < ribs_.size()) {
+    peer.advertised.resize(ribs_.size(), kNoPath);
+  }
+  for (PrefixId id : peer.pending) {
+    const PathId want = advertisement_for(peer, ribs_[id]);
+    PathId& have = peer.advertised[id];
+    if (want != kNoPath) {
+      if (have != want) {
+        adverts_.emplace_back(want, id);
+        have = want;
       }
-    } else if (have != peer.advertised.end()) {
-      withdraw_msg.withdrawn.push_back(prefix);
-      peer.advertised.erase(have);
+    } else if (have != kNoPath) {
+      msg.withdrawn.push_back(ribs_[id].prefix);
+      have = kNoPath;
     }
   }
   peer.pending.clear();
 
+  // Withdrawals first (ascending prefix), then one UPDATE per distinct AS
+  // path in lexicographic order, NLRI ascending. The next hop is always our
+  // address on this session, so the path alone keys a group.
   bool sent = false;
-  if (!withdraw_msg.withdrawn.empty()) {
-    send_message(peer, withdraw_msg);
+  if (!msg.withdrawn.empty()) {
+    send_update(peer, msg);
+    msg.withdrawn.clear();
     sent = true;
   }
-  for (auto& [key, nlri] : groups) {
-    UpdateMessage m;
-    m.as_path = key.first;
-    m.next_hop = ip::Ipv4Addr(key.second);
-    m.nlri = std::move(nlri);
-    send_message(peer, m);
+  std::ranges::sort(adverts_, [this](const auto& a, const auto& b) {
+    if (a.first != b.first) return paths_.less(a.first, b.first);
+    return ribs_[a.second].prefix < ribs_[b.second].prefix;
+  });
+  msg.next_hop = peer.cfg.local_addr;
+  for (std::size_t i = 0; i < adverts_.size();) {
+    const PathId path = adverts_[i].first;
+    msg.nlri.clear();
+    for (; i < adverts_.size() && adverts_[i].first == path; ++i) {
+      msg.nlri.push_back(ribs_[adverts_[i].second].prefix);
+    }
+    const auto as_path = paths_.get(path);
+    msg.as_path.assign(as_path.begin(), as_path.end());
+    send_update(peer, msg);
     sent = true;
   }
 
@@ -509,36 +628,18 @@ void BgpRouter::flush_peer(Peer& peer) {
   }
 }
 
-std::optional<BgpRouter::PathInfo> BgpRouter::advertisement_for(
-    const Peer& peer, ip::Ipv4Prefix prefix) const {
-  if (draining_) return std::nullopt;  // cost-out: withdraw everything
-  PathInfo out;
-  if (originates(prefix)) {
-    out.as_path = {config_.asn};
-    out.next_hop = peer.cfg.local_addr;
-    return out;
-  }
-  const PathInfo* best = best_path(prefix);
-  if (best == nullptr) return std::nullopt;
-  if (best->peer_index == peer.index) return std::nullopt;  // no echo
+BgpRouter::PathId BgpRouter::advertisement_for(const Peer& peer,
+                                               const PrefixRib& rib) const {
+  if (draining_) return kNoPath;  // cost-out: withdraw everything
+  if (rib.out == kNoPath) return kNoPath;
+  // An originated prefix's only choice is the local path, which neither
+  // check below can suppress.
+  const Path& best = rib.chosen.front();
+  if (best.peer == peer.index) return kNoPath;  // no echo
   // Sender-side loop suppression: with the RFC 7938 ASN plan this prevents
   // valley advertisements (e.g. re-advertising a spine-learned path upward).
-  if (std::find(best->as_path.begin(), best->as_path.end(),
-                peer.cfg.peer_asn) != best->as_path.end()) {
-    return std::nullopt;
-  }
-  out.as_path.reserve(best->as_path.size() + 1);
-  out.as_path.push_back(config_.asn);
-  out.as_path.insert(out.as_path.end(), best->as_path.begin(),
-                     best->as_path.end());
-  out.next_hop = peer.cfg.local_addr;
-  return out;
-}
-
-const BgpRouter::PathInfo* BgpRouter::best_path(ip::Ipv4Prefix prefix) const {
-  auto it = loc_rib_.find(prefix);
-  if (it == loc_rib_.end() || it->second.empty()) return nullptr;
-  return &it->second.front();
+  if (paths_.contains(best.as_path, peer.cfg.peer_asn)) return kNoPath;
+  return rib.out;
 }
 
 void BgpRouter::note_rib_change() {
@@ -621,8 +722,9 @@ std::string BgpRouter::summary_text() const {
   out += "Neighbor         AS      State        PfxRcvd\n";
   for (const auto& p : peers_) {
     std::size_t prefixes = 0;
-    for (const auto& [prefix, paths] : adj_rib_in_) {
-      prefixes += paths.contains(p->index) ? 1 : 0;
+    for (const PrefixRib& rib : ribs_) {
+      prefixes += static_cast<std::size_t>(std::ranges::count(
+          rib.in, static_cast<std::uint32_t>(p->index), &Path::peer));
     }
     char line[96];
     std::snprintf(line, sizeof(line), "%-16s %-7u %-12s %zu\n",

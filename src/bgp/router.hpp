@@ -12,12 +12,16 @@
 //   * per-peer Adj-RIB-Out with MinRouteAdvertisementInterval (MRAI)
 //     batching and sender-side AS-loop suppression (the RFC 7938 ASN plan
 //     makes this equivalent to valley-free route propagation);
+//   * flat RIBs: every table is an array over dense per-router prefix ids
+//     and AS paths are interned, so steady-state UPDATE handling compares
+//     integers and allocates nothing;
 //   * optional BFD (RFC 5880) driving the session down on detect timeout.
 #pragma once
 
-#include <map>
-#include <set>
-#include <unordered_map>
+#include <optional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "bfd/bfd.hpp"
 #include "bgp/message.hpp"
@@ -137,10 +141,67 @@ class BgpRouter : public transport::L3Node {
       on_session_down;
 
  private:
-  struct PathInfo {
-    std::vector<std::uint32_t> as_path;
+  /// Dense per-router handle of a prefix, assigned on first sight. The
+  /// prefix set is small and fixed (one subnet per rack), so every RIB is a
+  /// flat array indexed by it.
+  using PrefixId = std::uint32_t;
+  /// Handle of an interned AS path: two paths are equal iff their ids are.
+  using PathId = std::uint32_t;
+  static constexpr PathId kNoPath = UINT32_MAX;
+  /// Peer slot of the locally originated path.
+  static constexpr std::uint32_t kLocal = UINT32_MAX;
+
+  /// The router's AS paths, each stored once. Interning a known path and
+  /// comparing two paths allocate nothing; entries live until stop().
+  class AsPathTable {
+   public:
+    PathId intern(std::span<const std::uint32_t> path);
+    /// Interns `asn` followed by path `tail` (what this router advertises).
+    PathId prepend(std::uint32_t asn, PathId tail);
+    [[nodiscard]] std::span<const std::uint32_t> get(PathId id) const {
+      const Entry& e = entries_[id];
+      return {words_.data() + e.offset, e.length};
+    }
+    [[nodiscard]] bool contains(PathId id, std::uint32_t asn) const;
+    /// Lexicographic order, as std::vector<std::uint32_t> compares.
+    [[nodiscard]] bool less(PathId a, PathId b) const;
+    void clear();
+
+   private:
+    struct Entry {
+      std::uint32_t offset;
+      std::uint32_t length;
+      std::uint64_t hash;
+    };
+    std::vector<std::uint32_t> words_;
+    std::vector<Entry> entries_;
+    /// Open-addressed index into entries_ (kNoPath: empty), a power of two
+    /// at least twice entries_.size().
+    std::vector<PathId> index_;
+    std::vector<std::uint32_t> scratch_;
+  };
+
+  /// One path to a prefix: an Adj-RIB-In slot or a Loc-RIB choice.
+  struct Path {
+    std::uint32_t peer = kLocal;
+    PathId as_path = kNoPath;
     ip::Ipv4Addr next_hop;
-    std::size_t peer_index = 0;
+    bool operator==(const Path&) const = default;
+  };
+
+  struct PrefixRib {
+    ip::Ipv4Prefix prefix;
+    bool originated = false;
+    /// Adj-RIB-In: one slot per peer that announced the prefix, in
+    /// peer-index order.
+    std::vector<Path> in;
+    /// Loc-RIB: the chosen (ECMP) paths in peer-index order; the first is
+    /// the best.
+    std::vector<Path> chosen;
+    /// The best path with this router's ASN prepended, computed once per
+    /// decision; every peer is offered it unless the no-echo or loop check
+    /// suppresses it. kNoPath while there is no route.
+    PathId out = kNoPath;
   };
 
   struct Peer {
@@ -153,10 +214,12 @@ class BgpRouter : public transport::L3Node {
     std::unique_ptr<sim::Timer> keepalive_timer;
     std::unique_ptr<sim::Timer> retry_timer;
     std::unique_ptr<sim::Timer> mrai_timer;
-    /// Adj-RIB-Out: what we last advertised, per prefix (AS path sent).
-    std::map<ip::Ipv4Prefix, std::vector<std::uint32_t>> advertised;
-    /// Prefixes whose advertisement must be re-evaluated at next flush.
-    std::set<ip::Ipv4Prefix> pending;
+    /// Adj-RIB-Out: the AS path last advertised, by prefix id (kNoPath:
+    /// none; ids past the end were never advertised).
+    std::vector<PathId> advertised;
+    /// Prefixes whose advertisement must be re-evaluated at next flush,
+    /// ascending by prefix.
+    std::vector<PrefixId> pending;
     /// Flap-damping figure of merit (lazy exponential decay).
     double damp_penalty = 0;
     sim::Time damp_updated{};
@@ -175,6 +238,7 @@ class BgpRouter : public transport::L3Node {
   void handle_stream(Peer& peer, std::span<const std::uint8_t> data);
   void handle_message(Peer& peer, const BgpMessage& msg);
   void send_message(Peer& peer, const BgpMessage& msg);
+  void send_update(Peer& peer, const UpdateMessage& update);
   /// RFC 4271-style timer jitter: uniform in [0.75, 1.0) x base, drawn from
   /// the peer's private stream when one is set.
   [[nodiscard]] sim::Duration jittered(Peer& peer, sim::Duration base);
@@ -183,18 +247,21 @@ class BgpRouter : public transport::L3Node {
   }
 
   // --- routing ---
+  /// The id of `prefix`, assigned (with an empty RIB entry) on first sight.
+  PrefixId prefix_id(ip::Ipv4Prefix prefix);
+  [[nodiscard]] std::optional<PrefixId> find_prefix(ip::Ipv4Prefix prefix) const;
   void process_update(Peer& peer, const UpdateMessage& update);
-  /// Re-runs the decision process for `prefix`; returns true if the
+  /// Re-runs the decision process for a prefix; returns true if the
   /// Loc-RIB / RouteTable changed.
-  bool run_decision(ip::Ipv4Prefix prefix);
-  void schedule_advertisements(ip::Ipv4Prefix prefix);
+  bool run_decision(PrefixId id);
+  void schedule_advertisements(PrefixId id);
+  /// Adds `id` to the peer's pending set, keeping it ascending by prefix.
+  void mark_pending(Peer& peer, PrefixId id);
   void flush_peer(Peer& peer);
-  /// What should currently be advertised to `peer` (AS path with own ASN
-  /// prepended and next hop), or nullopt for none/suppressed.
-  [[nodiscard]] std::optional<PathInfo> advertisement_for(
-      const Peer& peer, ip::Ipv4Prefix prefix) const;
-  [[nodiscard]] const PathInfo* best_path(ip::Ipv4Prefix prefix) const;
-  void install(ip::Ipv4Prefix prefix, const std::vector<PathInfo*>& paths);
+  /// What should currently be advertised to `peer` (the interned AS path
+  /// with own ASN prepended), or kNoPath for none/suppressed.
+  [[nodiscard]] PathId advertisement_for(const Peer& peer,
+                                         const PrefixRib& rib) const;
   void note_rib_change();
 
   [[nodiscard]] bool originates(ip::Ipv4Prefix prefix) const;
@@ -204,12 +271,23 @@ class BgpRouter : public transport::L3Node {
   std::optional<std::uint64_t> stream_seed_;
   bool draining_ = false;
   std::vector<std::unique_ptr<Peer>> peers_;
-  /// Adj-RIB-In: prefix -> (peer index -> path).
-  std::map<ip::Ipv4Prefix, std::map<std::size_t, PathInfo>> adj_rib_in_;
-  /// Loc-RIB: chosen (possibly ECMP) paths per prefix, for advertisement.
-  std::map<ip::Ipv4Prefix, std::vector<PathInfo>> loc_rib_;
+  AsPathTable paths_;
+  /// Adj-RIB-In and Loc-RIB, by prefix id.
+  std::vector<PrefixRib> ribs_;
+  /// Every prefix id, ascending by prefix.
+  std::vector<PrefixId> by_prefix_;
   std::unique_ptr<bfd::BfdManager> bfd_;
   BgpStats stats_;
+
+  // Scratch storage reused across calls so steady-state UPDATE handling
+  // allocates nothing.
+  std::vector<PrefixId> affected_;
+  std::vector<Path> decision_;
+  std::vector<ip::NextHop> nexthops_;
+  std::vector<ip::NextHop> sorted_nexthops_;
+  /// (advertised path, prefix id) pairs of one flush.
+  std::vector<std::pair<PathId, PrefixId>> adverts_;
+  UpdateMessage update_;
 };
 
 }  // namespace mrmtp::bgp

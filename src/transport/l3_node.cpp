@@ -1,5 +1,7 @@
 #include "transport/l3_node.hpp"
 
+#include <algorithm>
+
 #include "net/link.hpp"
 #include "net/switch_buffer.hpp"
 
@@ -17,6 +19,11 @@ void L3Node::enable_path_select(util::PathSelect mode,
 void L3Node::configure_port(std::uint32_t port_number, ip::Ipv4Addr addr,
                             std::uint8_t prefix_len) {
   port_addrs_[port_number] = addr;
+  // Rebuilt rather than patched: a port may be re-addressed, and ports are
+  // configured once per deployment, not per packet.
+  local_addrs_.clear();
+  for (const auto& [port, a] : port_addrs_) local_addrs_.push_back(a);
+  std::sort(local_addrs_.begin(), local_addrs_.end());
   routes_.add_connected(ip::Ipv4Prefix(addr, prefix_len), port_number, addr);
 }
 
@@ -27,10 +34,7 @@ std::optional<ip::Ipv4Addr> L3Node::port_addr(std::uint32_t port_number) const {
 }
 
 bool L3Node::is_local_addr(ip::Ipv4Addr addr) const {
-  for (const auto& [port, a] : port_addrs_) {
-    if (a == addr) return true;
-  }
-  return false;
+  return std::binary_search(local_addrs_.begin(), local_addrs_.end(), addr);
 }
 
 void L3Node::send_udp(ip::Ipv4Addr src, ip::Ipv4Addr dst,
@@ -83,7 +87,8 @@ void L3Node::route_packet(const ip::Ipv4Header& header, net::Buffer packet,
     last_rx_ce_ = (header.tos & 0x03) == 0x03;
     switch (header.protocol) {
       case ip::IpProto::kTcp:
-        tcp_.handle_packet(header.src, header.dst, payload, last_rx_ce_);
+        tcp_.handle_packet(header.src, header.dst,
+                           packet.slice(header.header_length()), last_rx_ce_);
         return;
       case ip::IpProto::kUdp: {
         std::span<const std::uint8_t> udp_payload;

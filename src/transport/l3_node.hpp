@@ -10,6 +10,7 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "ip/packet.hpp"
 #include "ip/route_table.hpp"
@@ -115,6 +116,8 @@ class L3Node : public net::Node, public IpSender {
 
   ip::RouteTable routes_;
   std::unordered_map<std::uint32_t, ip::Ipv4Addr> port_addrs_;
+  /// Every port address, sorted: the per-packet local-delivery check.
+  std::vector<ip::Ipv4Addr> local_addrs_;
   std::unordered_map<std::uint16_t, UdpHandler> udp_handlers_;
   TcpStack tcp_;
   std::uint16_t next_ip_id_ = 1;

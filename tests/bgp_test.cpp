@@ -1,9 +1,12 @@
 // Unit tests: BGP message codecs (RFC 4271 wire format, exact sizes), the
-// stream reassembler, and config-text generation (paper Listing 1).
+// stream reassembler, config-text generation (paper Listing 1), and the
+// order in which a speaker emits UPDATEs.
 #include <gtest/gtest.h>
 
 #include "bgp/message.hpp"
 #include "bgp/router.hpp"
+#include "ip/packet.hpp"
+#include "net/network.hpp"
 
 namespace mrmtp::bgp {
 namespace {
@@ -126,7 +129,8 @@ TEST(MessageReaderTest, IncompleteMessageReturnsNullopt) {
 }
 
 TEST(MessageReaderTest, BadMarkerThrows) {
-  auto k = encode(KeepaliveMessage{});
+  auto bytes = encode(KeepaliveMessage{});
+  std::vector<std::uint8_t> k(bytes.begin(), bytes.end());
   k[3] = 0x00;
   MessageReader reader;
   reader.append(k);
@@ -185,6 +189,200 @@ TEST(BgpConfigTest, ConfigGrowsWithNeighborCount) {
   // The paper's configuration-burden point: per-router config scales with
   // interface count for BGP.
   EXPECT_GT(big.config_text().size(), small.config_text().size());
+}
+
+/// BGP speakers on hand-wired point-to-point /31 links, each started when a
+/// test says, and a transcript of the UPDATEs one of them sends over one
+/// link. Link i joins speakers (a, b) with a on 172.16.i.0 and b on
+/// 172.16.i.1; the lower address opens the session, so listing the
+/// late-starting side first lets its session come up as soon as it starts.
+class Speakers {
+ public:
+  struct Spec {
+    Spec(std::uint32_t asn_, std::vector<const char*> originate_ = {},
+         sim::Duration mrai_ = {})
+        : asn(asn_), originate(std::move(originate_)), mrai(mrai_) {}
+    std::uint32_t asn;
+    std::vector<const char*> originate;
+    sim::Duration mrai;
+  };
+
+  Speakers(const std::vector<Spec>& specs,
+           const std::vector<std::pair<std::size_t, std::size_t>>& links)
+      : links_(links) {
+    std::vector<BgpConfig> cfgs(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      cfgs[i].asn = specs[i].asn;
+      cfgs[i].router_id = static_cast<std::uint32_t>(i + 1);
+      cfgs[i].timers.mrai = specs[i].mrai;
+      for (const char* p : specs[i].originate) {
+        cfgs[i].originate.push_back(ip::Ipv4Prefix::parse(p));
+      }
+    }
+    for (std::size_t l = 0; l < links.size(); ++l) {
+      const auto [a, b] = links[l];
+      cfgs[a].neighbors.push_back({addr(l, 0), addr(l, 1), specs[b].asn});
+      cfgs[b].neighbors.push_back({addr(l, 1), addr(l, 0), specs[a].asn});
+    }
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      routers_.push_back(&network_.add_node<BgpRouter>(
+          "R" + std::to_string(i), 2, cfgs[i]));
+    }
+    for (std::size_t l = 0; l < links.size(); ++l) {
+      const auto [a, b] = links[l];
+      link_objs_.push_back(&network_.connect(*routers_[a], *routers_[b]));
+      routers_[a]->configure_port(routers_[a]->port_count(), addr(l, 0), 31);
+      routers_[b]->configure_port(routers_[b]->port_count(), addr(l, 1), 31);
+    }
+  }
+
+  /// Records every UPDATE speaker `from` sends over link `link`, one line
+  /// each: "W <prefixes>" for withdrawals, "A <AS path> : <prefixes>" for
+  /// NLRI.
+  void watch(std::size_t link, std::size_t from) {
+    const net::MacAddr mac = port_toward(from, link).mac();
+    link_objs_[link]->set_tap([this, mac](sim::Time, const net::Frame& f) {
+      if (f.src != mac || f.ethertype != net::EtherType::kIpv4) return;
+      std::span<const std::uint8_t> tcp;
+      ip::Ipv4Header::parse(f.payload, tcp);
+      auto seg = transport::TcpSegment::parse(
+          std::vector<std::uint8_t>(tcp.begin(), tcp.end()));
+      reader_.append(seg.payload);
+      while (auto msg = reader_.next()) {
+        const auto* u = std::get_if<UpdateMessage>(&*msg);
+        if (u == nullptr) continue;
+        if (!u->withdrawn.empty()) {
+          std::string line = "W";
+          for (const auto& p : u->withdrawn) line += " " + p.str();
+          transcript.push_back(line);
+        }
+        if (u->has_nlri()) {
+          std::string line = "A";
+          for (std::uint32_t asn : u->as_path) line += " " + std::to_string(asn);
+          line += " :";
+          for (const auto& p : u->nlri) line += " " + p.str();
+          transcript.push_back(line);
+        }
+      }
+    });
+  }
+
+  void start_at(std::size_t router, sim::Duration at) {
+    ctx_.sched.schedule_at(sim::Time::zero() + at,
+                           [this, router] { routers_[router]->start(); });
+  }
+  void fail_at(std::size_t router, std::size_t link, sim::Duration at) {
+    const std::uint32_t port = port_toward(router, link).number();
+    ctx_.sched.schedule_at(sim::Time::zero() + at, [this, router, port] {
+      routers_[router]->set_interface_down(port);
+    });
+  }
+  void run_until(sim::Duration t) {
+    ctx_.sched.run_until(sim::Time::zero() + t);
+  }
+
+  std::vector<std::string> transcript;
+
+ private:
+  static ip::Ipv4Addr addr(std::size_t link, std::uint8_t side) {
+    return {172, 16, static_cast<std::uint8_t>(link), side};
+  }
+  net::Port& port_toward(std::size_t router, std::size_t link) {
+    std::uint32_t port = 0;
+    for (std::size_t l = 0; l <= link; ++l) {
+      if (links_[l].first == router || links_[l].second == router) ++port;
+    }
+    return routers_[router]->port(port);
+  }
+
+  net::SimContext ctx_{5};
+  net::Network network_{ctx_};
+  std::vector<std::pair<std::size_t, std::size_t>> links_;
+  std::vector<BgpRouter*> routers_;
+  std::vector<net::Link*> link_objs_;
+  MessageReader reader_;
+};
+
+// One MRAI-batched flush carrying withdrawals and NLRI under two AS paths:
+// the withdrawals come first in ascending prefix order, then one UPDATE per
+// AS path in lexicographic path order ([..., 65003, 65004] sorts before the
+// shorter [..., 65005]), NLRI ascending. Each group's prefixes were first
+// heard in descending order, so order of arrival cannot pass for either.
+TEST(BgpEmissionOrderTest, FlushOrdersWithdrawalsThenPathsLexicographically) {
+  enum : std::size_t { kHub, kObserver, kA1, kA2, kB1, kB2, kC, kE };
+  const auto ms = [](std::int64_t v) { return sim::Duration::millis(v); };
+  Speakers s({{65000, {}, sim::Duration::seconds(5)},
+              {65009},
+              {65001, {"10.0.9.0/24"}},
+              {65001, {"10.0.1.0/24"}},
+              {65005, {"10.0.7.0/24"}},
+              {65005, {"10.0.2.0/24"}},
+              {65003},
+              {65004, {"10.0.5.0/24"}}},
+             {{kObserver, kHub},
+              {kA1, kHub},
+              {kA2, kHub},
+              {kB1, kHub},
+              {kB2, kHub},
+              {kC, kHub},
+              {kE, kC}});
+  s.watch(0, kHub);
+  for (std::size_t r : {kHub, kObserver, kA1}) s.start_at(r, ms(0));
+  s.start_at(kA2, ms(1000));
+  // The hub's MRAI window that opened with A2's prefix (about t = 5 s)
+  // closes at about t = 10 s; everything below lands inside it.
+  s.start_at(kB1, ms(5500));
+  s.fail_at(kHub, 1, ms(6000));
+  s.fail_at(kHub, 2, ms(6000));
+  s.start_at(kB2, ms(6500));
+  s.start_at(kC, ms(7000));
+  s.start_at(kE, ms(7000));
+  s.run_until(ms(12000));
+
+  EXPECT_EQ(s.transcript,
+            (std::vector<std::string>{
+                "A 65000 65001 : 10.0.9.0/24",
+                "A 65000 65001 : 10.0.1.0/24",
+                "W 10.0.1.0/24 10.0.9.0/24",
+                "A 65000 65003 65004 : 10.0.5.0/24",
+                "A 65000 65005 : 10.0.2.0/24 10.0.7.0/24",
+            }));
+}
+
+// A session drop re-decides every prefix learned over it in ascending prefix
+// order, although they were first heard as 10.0.5 and 10.0.9 together, then
+// 10.0.1; with MRAI 0 each decision goes out at once. 10.0.5.0/24 also has
+// equal-length paths via B (peer index 2) and C (peer index 3): the ECMP set
+// lists candidates in peer-index order and its first is the best, so A's
+// path (peer index 1) is advertised until the drop and B's after it, though
+// C's session came up first.
+TEST(BgpEmissionOrderTest, SessionDropRedecidesPrefixesInAscendingOrder) {
+  enum : std::size_t { kHub, kObserver, kA, kB, kC, kG };
+  const auto ms = [](std::int64_t v) { return sim::Duration::millis(v); };
+  Speakers s({{65000},
+              {65009},
+              {65001, {"10.0.9.0/24", "10.0.5.0/24"}},
+              {65002, {"10.0.5.0/24"}},
+              {65003, {"10.0.5.0/24"}},
+              {65007, {"10.0.1.0/24"}}},
+             {{kObserver, kHub}, {kA, kHub}, {kB, kHub}, {kC, kHub}, {kG, kA}});
+  s.watch(0, kHub);
+  for (std::size_t r : {kHub, kObserver, kA}) s.start_at(r, ms(0));
+  s.start_at(kG, ms(1000));
+  s.start_at(kC, ms(1500));
+  s.start_at(kB, ms(2000));
+  s.fail_at(kHub, 1, ms(3000));
+  s.run_until(ms(4000));
+
+  EXPECT_EQ(s.transcript,
+            (std::vector<std::string>{
+                "A 65000 65001 : 10.0.5.0/24",
+                "A 65000 65001 : 10.0.9.0/24",
+                "A 65000 65001 65007 : 10.0.1.0/24",
+                "W 10.0.1.0/24",
+                "A 65000 65002 : 10.0.5.0/24",
+                "W 10.0.9.0/24",
+            }));
 }
 
 }  // namespace

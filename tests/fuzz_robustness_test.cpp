@@ -313,19 +313,22 @@ TEST_P(FuzzSeeds, MtpBitFlipsRejectOrParse) {
 
 std::vector<std::vector<std::uint8_t>> bgp_corpus() {
   std::vector<std::vector<std::uint8_t>> corpus;
-  corpus.push_back(bgp::encode(
+  auto add = [&corpus](const net::Buffer& bytes) {
+    corpus.emplace_back(bytes.begin(), bytes.end());
+  };
+  add(bgp::encode(
       bgp::OpenMessage{.asn = 64601, .hold_time_s = 3, .bgp_id = 0x0a000101}));
   bgp::UpdateMessage reachable;
   reachable.as_path = {64601, 64512};
   reachable.next_hop = ip::Ipv4Addr::parse("172.16.0.1");
   reachable.nlri = {ip::Ipv4Prefix::parse("192.168.11.0/24"),
                     ip::Ipv4Prefix::parse("192.168.12.0/24")};
-  corpus.push_back(bgp::encode(reachable));
+  add(bgp::encode(reachable));
   bgp::UpdateMessage withdraw;
   withdraw.withdrawn = {ip::Ipv4Prefix::parse("192.168.13.0/24")};
-  corpus.push_back(bgp::encode(withdraw));
-  corpus.push_back(bgp::encode(bgp::NotificationMessage{.code = 6}));
-  corpus.push_back(bgp::encode(bgp::KeepaliveMessage{}));
+  add(bgp::encode(withdraw));
+  add(bgp::encode(bgp::NotificationMessage{.code = 6}));
+  add(bgp::encode(bgp::KeepaliveMessage{}));
   return corpus;
 }
 
