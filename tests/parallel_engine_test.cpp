@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <utility>
 #include <vector>
@@ -309,6 +310,66 @@ TEST(ParallelDeterminism, BgpBfdFourShardsMatchOneShard) {
   EXPECT_TRUE(one.converged_before_fail);
   EXPECT_GT(one.packets_sent, 0u);
   expect_snapshots_equal(one, four);
+}
+
+// BGP sessions torn down right after they send, on four shards: each spine
+// drains (withdrawing everything from its peers at once) and powers off a
+// few microseconds later, around the instant its withdrawals reach the peers
+// on other shards. Teardown releases the send queue that still holds those
+// messages while the peers parse the frames that carried them, so a frame
+// that crosses shards must own its slab alone, or two threads update one
+// reference count at once. The tsan preset runs this test, but the engine's
+// own synchronization usually orders such a pair, so the test also checks
+// ownership directly: every frame a shard-crossing link delivers holds the
+// only reference to its slab. The fabric must then reconverge.
+TEST(ParallelDeterminism, BgpTeardownRightAfterSendAcrossShards) {
+  topo::ClosBlueprint blueprint(topo::ClosParams{8, 2, 2, 4, 1});
+  harness::ShardedFabric fabric(blueprint, 4, /*seed=*/5);
+  harness::Deployment dep(fabric, harness::Proto::kBgpBfd);
+  sim::ShardedEngine& engine = fabric.engine();
+
+  // Relaxed counters: the taps run on the receiving shards' threads.
+  std::atomic<std::uint64_t> crossed{0};
+  std::atomic<std::uint64_t> shared{0};
+  for (const auto& link : dep.network().links()) {
+    if (link->a().owner().ctx().shard == link->b().owner().ctx().shard) {
+      continue;
+    }
+    link->set_tap([&crossed, &shared](Time, const net::Frame& frame) {
+      crossed.fetch_add(1, std::memory_order_relaxed);
+      if (frame.payload.refcount() != 1) {
+        shared.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  dep.start();
+  const Time t_converged = Time::zero() + Duration::seconds(3);
+  engine.run_until(t_converged);
+  ASSERT_TRUE(dep.converged());
+
+  std::vector<std::uint32_t> spines;
+  for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
+    if (blueprint.device(d).role != topo::Role::kLeaf) spines.push_back(d);
+  }
+  ASSERT_GT(spines.size(), 4u);
+  // The stop lags sweep 0 to 9.5 us in 0.5 us steps (the fabric's link delay
+  // is 5 us), so some teardowns share a sync window with the delivery.
+  const Time t_drain = t_converged + Duration::millis(100);
+  const Time t_boot = t_drain + Duration::millis(500);
+  for (std::size_t i = 0; i < spines.size(); ++i) {
+    const std::uint32_t d = spines[i];
+    const Duration step = Duration::millis(static_cast<std::int64_t>(i));
+    const Duration lag = Duration::nanos(static_cast<std::int64_t>(500 * i));
+    sim::Scheduler& sched = dep.router(d).ctx().sched;
+    sched.schedule_at(t_drain + step, [&dep, d] { dep.drain_router(d); });
+    sched.schedule_at(t_drain + step + lag, [&dep, d] { dep.stop_router(d); });
+    sched.schedule_at(t_boot + step, [&dep, d] { dep.restart_router(d); });
+  }
+  engine.run_until(t_boot + Duration::seconds(5));
+  EXPECT_TRUE(dep.converged());
+  EXPECT_GT(crossed.load(), 0u);
+  EXPECT_EQ(shared.load(), 0u);
 }
 
 // The experiment runner must report the same result at any thread count:
