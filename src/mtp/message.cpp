@@ -21,21 +21,20 @@ namespace {
 
 template <typename Writer>
 void write_vids(Writer& w, const std::vector<Vid>& vids) {
-  w.u8(static_cast<std::uint8_t>(vids.size()));
+  w.u8(list_count(vids.size()));
   for (const Vid& v : vids) v.serialize(w);
 }
 
-std::vector<Vid> read_vids(util::BufReader& r) {
-  std::uint8_t count = r.u8();
-  std::vector<Vid> out;
-  out.reserve(count);
-  for (int i = 0; i < count; ++i) out.push_back(Vid::deserialize(r));
-  return out;
+/// Replaces `out` with the list; a vector reused across frames keeps its
+/// capacity, so decoding into it stops allocating.
+void read_vids(util::BufReader& r, std::vector<Vid>& out) {
+  out.resize(r.u8());
+  for (Vid& v : out) v = Vid::deserialize(r);
 }
 
 template <typename Writer>
 void write_roots(Writer& w, const std::vector<std::uint16_t>& roots) {
-  w.u8(static_cast<std::uint8_t>(roots.size()));
+  w.u8(list_count(roots.size()));
   for (std::uint16_t root : roots) w.u16(root);
 }
 
@@ -47,7 +46,24 @@ std::vector<std::uint16_t> read_roots(util::BufReader& r) {
   return out;
 }
 
+/// Type, tier and seq: the ADVERTISE bytes in front of the VID list.
+constexpr std::size_t kAdvertiseHeader = 6;
+
+void read_advertise(util::BufReader& r, AdvertiseMsg& out) {
+  out.tier = r.u8();
+  out.seq = r.u32();
+  read_vids(r, out.vids);
+}
+
 }  // namespace
+
+std::uint8_t list_count(std::size_t entries) {
+  if (entries > kMaxListEntries) {
+    throw util::CodecError("MTP: list of " + std::to_string(entries) +
+                           " entries exceeds the 1-byte count");
+  }
+  return static_cast<std::uint8_t>(entries);
+}
 
 MsgType type_of(const MtpMessage& msg) {
   return std::visit(
@@ -125,20 +141,18 @@ MtpMessage decode(net::Buffer payload) {
       return HelloMsg{};
     case MsgType::kAdvertise: {
       AdvertiseMsg m;
-      m.tier = r.u8();
-      m.seq = r.u32();
-      m.vids = read_vids(r);
+      read_advertise(r, m);
       return m;
     }
     case MsgType::kJoinRequest: {
       JoinRequestMsg m;
-      m.vids = read_vids(r);
+      read_vids(r, m.vids);
       return m;
     }
     case MsgType::kJoinOffer: {
       JoinOfferMsg m;
       m.msg_id = r.u16();
-      m.vids = read_vids(r);
+      read_vids(r, m.vids);
       return m;
     }
     case MsgType::kCtrlAck: {
@@ -149,7 +163,7 @@ MtpMessage decode(net::Buffer payload) {
     case MsgType::kVidWithdraw: {
       VidWithdrawMsg m;
       m.msg_id = r.u16();
-      m.vids = read_vids(r);
+      read_vids(r, m.vids);
       return m;
     }
     case MsgType::kDestUnreach: {
@@ -176,6 +190,25 @@ MtpMessage decode(net::Buffer payload) {
     }
   }
   throw util::CodecError("MTP: unknown message type");
+}
+
+net::Buffer encode_advertise(std::uint8_t tier, std::uint32_t seq,
+                             std::span<const std::uint8_t> vid_list) {
+  net::BufferWriter w(kAdvertiseHeader + vid_list.size());
+  w.u8(static_cast<std::uint8_t>(MsgType::kAdvertise));
+  w.u8(tier);
+  w.u32(seq);
+  w.bytes(vid_list);
+  return w.take();
+}
+
+void decode_advertise(std::span<const std::uint8_t> payload,
+                      AdvertiseMsg& out) {
+  util::BufReader r(payload);
+  if (static_cast<MsgType>(r.u8()) != MsgType::kAdvertise) {
+    throw util::CodecError("MTP: not an ADVERTISE");
+  }
+  read_advertise(r, out);
 }
 
 }  // namespace mrmtp::mtp

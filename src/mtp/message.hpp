@@ -108,6 +108,14 @@ using MtpMessage =
                  CtrlAckMsg, VidWithdrawMsg, DestUnreachMsg, DestClearMsg,
                  DataMsg>;
 
+/// Most entries a VID or root list can carry: its count is one byte.
+constexpr std::size_t kMaxListEntries = 255;
+
+/// The count byte in front of a list of `entries` VIDs or roots. Throws
+/// util::CodecError above kMaxListEntries: a wrapped count would make the
+/// receiver decode a truncated list.
+[[nodiscard]] std::uint8_t list_count(std::size_t entries);
+
 /// Serializes into a pooled Buffer. Takes the message by value: a DataMsg
 /// moved in keeps a unique payload slab, so the 6-byte header lands in its
 /// headroom in place — pass `MtpMessage{std::move(data_msg)}` on the hot
@@ -117,6 +125,20 @@ using MtpMessage =
 /// a kData payload moved in is *sliced*, not copied — DataMsg::ip_packet
 /// shares the frame's slab at offset 6.
 [[nodiscard]] MtpMessage decode(net::Buffer payload);
+
+/// An ADVERTISE from a pre-encoded VID list (count byte, then each VID, as
+/// encode writes it): the type, tier and seq, then `vid_list` copied once
+/// into a pooled buffer of the frame's size. The bytes equal
+/// encode(AdvertiseMsg{tier, seq, vids}) for the `vids` that `vid_list`
+/// encodes, so a sender can encode its table once and reuse it.
+[[nodiscard]] net::Buffer encode_advertise(std::uint8_t tier, std::uint32_t seq,
+                                           std::span<const std::uint8_t> vid_list);
+/// Decodes an ADVERTISE payload into `out`, reusing the capacity of
+/// `out.vids`: a receiver that keeps one AdvertiseMsg decodes every
+/// statement without allocating once it has seen the longest. decode() goes
+/// through this routine too. Throws util::CodecError on a malformed payload
+/// or one of another type.
+void decode_advertise(std::span<const std::uint8_t> payload, AdvertiseMsg& out);
 
 [[nodiscard]] MsgType type_of(const MtpMessage& msg);
 

@@ -97,9 +97,9 @@ void MtpRouter::drain() {
     queue_reach_update(down, all, /*unreach=*/true);
   }
   // The VID table is kept: in-flight downstream traffic during the grace
-  // period still delivers. advertisable_vids()/handle_join_request() are
-  // suppressed while draining_, so hellos stay plain and neighbors cannot
-  // re-join us into trees before the reboot.
+  // period still delivers. for_each_advertisable()/handle_join_request()
+  // are suppressed while draining_, so hellos stay plain and neighbors
+  // cannot re-join us into trees before the reboot.
 }
 
 // ---------------------------------------------------------------- frame I/O
@@ -107,13 +107,17 @@ void MtpRouter::drain() {
 void MtpRouter::send_msg(std::uint32_t port_number, MtpMessage msg) {
   net::Port& out = port(port_number);
   if (!out.connected() || !out.admin_up()) return;
-
   const MsgType type = type_of(msg);
+  send_payload(out, type, encode(std::move(msg)));
+}
+
+void MtpRouter::send_payload(net::Port& out, MsgType type,
+                             net::Buffer payload) {
   net::Frame frame;
   frame.dst = net::MacAddr::broadcast();
   frame.src = out.mac();
   frame.ethertype = net::EtherType::kMtp;
-  frame.payload = encode(std::move(msg));
+  frame.payload = std::move(payload);
 
   switch (type) {
     case MsgType::kHello:
@@ -141,7 +145,7 @@ void MtpRouter::send_msg(std::uint32_t port_number, MtpMessage msg) {
       break;
   }
 
-  pstate(port_number).last_tx = ctx_.now();
+  pstate(out.number()).last_tx = ctx_.now();
   transmit(out, std::move(frame));
 }
 
@@ -198,6 +202,23 @@ void MtpRouter::handle_frame(net::Port& in, net::Frame frame) {
   }
   if (frame.ethertype != net::EtherType::kMtp) return;
 
+  // An ADVERTISE carries the sender's whole table and is most of bring-up's
+  // traffic: decode it into storage reused across frames. Like
+  // decode(std::move(payload)) below, release the frame's slab before
+  // handling, so replies draw on the pool without it.
+  if (!frame.payload.empty() &&
+      frame.payload[0] == static_cast<std::uint8_t>(MsgType::kAdvertise)) {
+    try {
+      decode_advertise(frame.payload, adv_rx_);
+    } catch (const util::CodecError&) {
+      return;
+    }
+    frame.payload = net::Buffer{};
+    note_rx(in);
+    if (s.alive) handle_advertise(in.number(), adv_rx_);
+    return;
+  }
+
   MtpMessage msg;
   try {
     msg = decode(std::move(frame.payload));
@@ -224,7 +245,7 @@ void MtpRouter::handle_msg(net::Port& in, MtpMessage& msg) {
           // re-encapsulation on the far port prepends in place.
           forward_data(std::move(m), p);
         } else if constexpr (std::is_same_v<T, AdvertiseMsg>) {
-          if (alive) handle_advertise(p, m);
+          // Never reached: handle_frame decodes ADVERTISEs in place.
         } else if constexpr (std::is_same_v<T, JoinRequestMsg>) {
           if (alive) handle_join_request(p, m);
         } else if constexpr (std::is_same_v<T, JoinOfferMsg>) {
@@ -447,22 +468,66 @@ void MtpRouter::on_port_up(net::Port& p) {
 
 // ------------------------------------------------------- tree establishment
 
-std::vector<Vid> MtpRouter::advertisable_vids() const {
-  std::vector<Vid> out;
-  out.reserve(is_leaf() ? 1 : vid_table_.size());
-  for_each_advertisable([&](const Vid& v) {
-    out.push_back(v);
-    return true;
-  });
-  return out;
+void MtpRouter::send_advertise(std::uint32_t p) {
+  const std::uint32_t seq = ++adv_seq_;
+  net::Port& out = port(p);
+  if (!out.connected() || !out.admin_up()) return;
+  send_payload(out, MsgType::kAdvertise,
+               encode_advertise(static_cast<std::uint8_t>(config_.tier), seq,
+                                advertise_body()));
 }
 
-void MtpRouter::send_advertise(std::uint32_t p) {
-  AdvertiseMsg m;
-  m.tier = static_cast<std::uint8_t>(config_.tier);
-  m.seq = ++adv_seq_;
-  m.vids = advertisable_vids();
-  send_msg(p, m);
+std::span<const std::uint8_t> MtpRouter::advertise_body() {
+  const std::pair key{vid_table_.version(), draining_};
+  if (adv_body_key_ != key) {
+    std::size_t count = 0;
+    for_each_advertisable([&](const Vid&) {
+      ++count;
+      return true;
+    });
+    adv_body_.clear();
+    adv_body_.u8(list_count(count));
+    for_each_advertisable([&](const Vid& v) {
+      v.serialize(adv_body_);
+      return true;
+    });
+    adv_body_key_ = key;
+  }
+  return adv_body_.data();
+}
+
+const std::vector<std::uint16_t>& MtpRouter::roots_of(
+    const std::vector<Vid>& vids) {
+  root_scratch_.clear();
+  if (vids.empty()) return root_scratch_;
+  std::uint16_t lo = vids.front().root();
+  std::uint16_t hi = lo;
+  for (const Vid& v : vids) {
+    const std::uint16_t root = v.root();
+    if (root >= root_marks_.size()) root_marks_.resize(root + std::size_t{1});
+    root_marks_[root] = 1;
+    lo = std::min(lo, root);
+    hi = std::max(hi, root);
+  }
+  for (std::size_t root = lo; root <= hi; ++root) {
+    if (root_marks_[root] == 0) continue;
+    root_marks_[root] = 0;
+    root_scratch_.push_back(static_cast<std::uint16_t>(root));
+  }
+  return root_scratch_;
+}
+
+bool MtpRouter::offer_pending(std::uint32_t p, const Vid& child) const {
+  for (const auto& [id, o] : outstanding_) {
+    if (o.port != p) continue;
+    if (const auto* offer = std::get_if<JoinOfferMsg>(&o.msg)) {
+      if (std::find(offer->vids.begin(), offer->vids.end(), child) !=
+          offer->vids.end()) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseMsg& msg) {
@@ -483,13 +548,9 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseMsg& msg) {
     // An upstream's advertisement is a full statement of the trees it
     // holds: remember the roots so the uplink load balancer can steer tree
     // traffic toward uplinks that can actually deliver it.
-    std::vector<std::uint16_t> roots;
-    roots.reserve(msg.vids.size());
-    for (const Vid& v : msg.vids) roots.push_back(v.root());
-    std::sort(roots.begin(), roots.end());
-    roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+    const std::vector<std::uint16_t>& roots = roots_of(msg.vids);
     if (roots != s.advertised_roots) {
-      s.advertised_roots = std::move(roots);
+      s.advertised_roots = roots;
       invalidate_up_cache();
     }
     // Any child VID we once assigned on this port that it no longer lists
@@ -497,24 +558,17 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseMsg& msg) {
     // upstream into declaring us dead while we kept seeing its frames and
     // never cleared our bookkeeping. Dropping the stale assignment makes
     // fully_assigned() false again, so the keep-alive slot re-advertises
-    // and the join handshake restarts.
-    if (msg.tier > config_.tier && !s.assigned.empty()) {
-      std::vector<Vid> held = msg.vids;
-      // A JOIN_OFFER still awaiting its ack names a VID the neighbor has
-      // not processed yet, so its absence from this statement is expected —
-      // pruning it here would orphan the tree on our side while the
-      // neighbor goes on to join it.
-      for (const auto& [id, o] : outstanding_) {
-        if (o.port != p) continue;
-        if (const auto* offer = std::get_if<JoinOfferMsg>(&o.msg)) {
-          held.insert(held.end(), offer->vids.begin(), offer->vids.end());
-        }
-      }
-      std::sort(held.begin(), held.end());
+    // and the join handshake restarts. A JOIN_OFFER still awaiting its ack
+    // names a VID the neighbor has not processed yet, so its absence from
+    // this statement is expected — pruning it here would orphan the tree on
+    // our side while the neighbor goes on to join it.
+    if (msg.tier > config_.tier) {
       for (auto it = s.assigned.begin(); it != s.assigned.end();) {
-        it = std::binary_search(held.begin(), held.end(), it->first)
-                 ? std::next(it)
-                 : s.assigned.erase(it);
+        const bool held =
+            std::find(msg.vids.begin(), msg.vids.end(), it->first) !=
+                msg.vids.end() ||
+            offer_pending(p, it->first);
+        it = held ? std::next(it) : s.assigned.erase(it);
       }
     }
     return;  // we only join trees from below

@@ -259,6 +259,8 @@ class MtpRouter : public net::Node {
   /// Takes the message by value: move a DataMsg in to keep its payload slab
   /// unique so encapsulation prepends in place (see mtp::encode).
   void send_msg(std::uint32_t port, MtpMessage msg);
+  /// Frames an encoded message of `type` and transmits it on `out`.
+  void send_payload(net::Port& out, MsgType type, net::Buffer payload);
   void send_reliable(std::uint32_t port, MtpMessage msg);
   void handle_msg(net::Port& in, MtpMessage& msg);
 
@@ -274,12 +276,22 @@ class MtpRouter : public net::Node {
   [[nodiscard]] bool fully_assigned(std::uint32_t port) const;
 
   // --- tree establishment ---
+  /// Sends our statement on `port`, numbered with the next `adv_seq_`
+  /// (taken even when the port cannot send).
   void send_advertise(std::uint32_t port);
+  /// The encoded VID list of our statement (see adv_body_).
+  [[nodiscard]] std::span<const std::uint8_t> advertise_body();
   void handle_advertise(std::uint32_t port, const AdvertiseMsg& msg);
+  /// The roots of `vids`, sorted and unique, in storage reused across
+  /// calls. Roots are ToR VIDs, small dense integers, so a mark per root
+  /// value and one pass over the marked range order them without a sort.
+  [[nodiscard]] const std::vector<std::uint16_t>& roots_of(
+      const std::vector<Vid>& vids);
+  /// True when an unacked JOIN_OFFER on `port` names `child`.
+  [[nodiscard]] bool offer_pending(std::uint32_t port, const Vid& child) const;
   void handle_join_request(std::uint32_t port, const JoinRequestMsg& msg);
   void handle_join_offer(std::uint32_t port, const JoinOfferMsg& msg);
   void retry_joins(std::uint32_t port);
-  [[nodiscard]] std::vector<Vid> advertisable_vids() const;
   /// Calls `fn` on each VID this router offers upward (none while
   /// draining, the own root on a leaf, else the table in order) until `fn`
   /// returns false; returns false iff it stopped early.
@@ -362,6 +374,19 @@ class MtpRouter : public net::Node {
   /// Statement counter stamped into every ADVERTISE (shared across ports;
   /// still strictly increasing per port, which is all receivers need).
   std::uint32_t adv_seq_ = 0;
+  /// Our statement's VID list as the wire carries it (count byte, then each
+  /// advertisable VID), encoded for the (table version, draining) pair in
+  /// adv_body_key_. Every ADVERTISE until either moves copies these bytes
+  /// instead of re-encoding the table.
+  util::BufWriter adv_body_;
+  std::optional<std::pair<std::uint64_t, bool>> adv_body_key_;
+  /// Decode target for received ADVERTISEs, reused across frames: once it
+  /// holds the longest statement seen, decoding allocates nothing.
+  AdvertiseMsg adv_rx_;
+  /// roots_of storage: the result, and a mark per root value (all clear
+  /// between calls).
+  std::vector<std::uint16_t> root_scratch_;
+  std::vector<std::uint8_t> root_marks_;
   /// Eligible-uplink sets as a dense epoch-validated slab indexed by
   /// destination root (lazy, see eligible_up_ports); mutable because
   /// lookups are logically const. A slot is valid iff its epoch matches

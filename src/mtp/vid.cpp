@@ -28,13 +28,4 @@ std::string Vid::str() const {
   return out;
 }
 
-Vid Vid::deserialize(util::BufReader& r) {
-  std::uint8_t count = r.u8();
-  if (count == 0) throw util::CodecError("VID: zero labels");
-  check_depth(count);
-  Vid out;
-  for (; out.depth_ < count; ++out.depth_) out.labels_[out.depth_] = r.u16();
-  return out;
-}
-
 }  // namespace mrmtp::mtp

@@ -85,8 +85,22 @@ class Vid {
     w.u8(depth_);
     for (std::uint16_t label : labels()) w.u16(label);
   }
-  /// Throws util::CodecError on zero or more than kMaxDepth labels.
-  static Vid deserialize(util::BufReader& r);
+  /// Throws util::CodecError on zero or more than kMaxDepth labels. Inline
+  /// with one bounds check per VID: an ADVERTISE decodes its whole VID list
+  /// through here.
+  static Vid deserialize(util::BufReader& r) {
+    const std::uint8_t count = r.u8();
+    if (count == 0) throw util::CodecError("VID: zero labels");
+    check_depth(count);
+    const std::span<const std::uint8_t> wire = r.bytes(2 * std::size_t{count});
+    Vid out;
+    for (std::size_t i = 0; i < count; ++i) {
+      out.labels_[i] =
+          static_cast<std::uint16_t>((wire[2 * i] << 8) | wire[2 * i + 1]);
+    }
+    out.depth_ = count;
+    return out;
+  }
   [[nodiscard]] std::size_t wire_size() const { return 1 + 2 * std::size_t{depth_}; }
 
   friend bool operator==(const Vid& a, const Vid& b) {

@@ -50,6 +50,7 @@ bool VidTable::add(Vid vid, std::uint32_t port) {
   }
   buckets_[static_cast<std::size_t>(pos)].push_back(entry);
   entries_.push_back(std::move(entry));
+  ++version_;
   return true;
 }
 
@@ -63,6 +64,7 @@ bool VidTable::remove(const Vid& vid) {
     drop_bucket_if_empty(vid.root());
   }
   entries_.erase(it);
+  ++version_;
   return true;
 }
 
@@ -77,6 +79,7 @@ std::vector<VidEntry> VidTable::remove_port(std::uint32_t port) {
                              return false;
                            });
   entries_.erase(it, entries_.end());
+  if (!removed.empty()) ++version_;
   for (const VidEntry& e : removed) {
     const std::int32_t pos = bucket_of(e.vid.root());
     if (pos < 0) continue;

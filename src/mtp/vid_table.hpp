@@ -49,6 +49,11 @@ class VidTable {
   [[nodiscard]] const std::vector<VidEntry>& entries() const { return entries_; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
+  /// Bumped by every change to the entries and never reset, so an unchanged
+  /// version means unchanged entries: a router re-sends the table's encoded
+  /// form until this moves.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+
   /// Paper Listing 5 rendering: one line per port, comma-separated VIDs.
   [[nodiscard]] std::string dump() const;
 
@@ -57,6 +62,7 @@ class VidTable {
   [[nodiscard]] std::size_t memory_bytes() const;
 
   void clear() {
+    ++version_;
     entries_.clear();
     root_pos_.clear();
     roots_.clear();
@@ -72,6 +78,7 @@ class VidTable {
   void drop_bucket_if_empty(std::uint16_t root);
 
   std::vector<VidEntry> entries_;
+  std::uint64_t version_ = 0;
   /// Per-root candidate index as a structure-of-arrays slab: `root_pos_` is
   /// dense by root value (grown to the highest root seen, -1 = absent);
   /// `roots_`/`buckets_` are parallel arrays of the live roots and their

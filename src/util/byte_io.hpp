@@ -68,6 +68,9 @@ class BufWriter {
   }
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  /// Empties the buffer and keeps its capacity, for a writer reused across
+  /// encodings.
+  void clear() { buf_.clear(); }
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
 

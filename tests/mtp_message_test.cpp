@@ -120,6 +120,73 @@ TEST(MtpCodecTest, DecodeRejectsGarbage) {
   EXPECT_THROW(decode(truncated), util::CodecError);
 }
 
+TEST(MtpCodecTest, ListsOf255EntriesEncode) {
+  AdvertiseMsg adv;
+  adv.tier = 3;
+  DestUnreachMsg unreach;
+  for (std::size_t i = 0; i < kMaxListEntries; ++i) {
+    adv.vids.emplace_back(static_cast<std::uint16_t>(11 + i));
+    unreach.roots.push_back(static_cast<std::uint16_t>(11 + i));
+  }
+  EXPECT_EQ(round_trip(adv).vids, adv.vids);
+  EXPECT_EQ(round_trip(unreach).roots, unreach.roots);
+  EXPECT_EQ(list_count(kMaxListEntries), 255);
+}
+
+// A count byte that wrapped at 256 would make the receiver decode a
+// truncated list, so every encoder refuses instead.
+TEST(MtpCodecTest, ListsOf256EntriesThrowInsteadOfWrapping) {
+  std::vector<Vid> vids;
+  std::vector<std::uint16_t> roots;
+  for (std::size_t i = 0; i <= kMaxListEntries; ++i) {
+    vids.emplace_back(static_cast<std::uint16_t>(11 + i));
+    roots.push_back(static_cast<std::uint16_t>(11 + i));
+  }
+  EXPECT_THROW((void)encode(AdvertiseMsg{.tier = 2, .seq = 1, .vids = vids}),
+               util::CodecError);
+  EXPECT_THROW((void)encode(JoinRequestMsg{vids}), util::CodecError);
+  EXPECT_THROW((void)encode(JoinOfferMsg{1, vids}), util::CodecError);
+  EXPECT_THROW((void)encode(VidWithdrawMsg{1, vids}), util::CodecError);
+  EXPECT_THROW((void)encode(DestUnreachMsg{1, roots}), util::CodecError);
+  EXPECT_THROW((void)encode(DestClearMsg{1, roots}), util::CodecError);
+  EXPECT_THROW((void)list_count(kMaxListEntries + 1), util::CodecError);
+}
+
+TEST(MtpCodecTest, PreEncodedVidListFramesLikeEncode) {
+  AdvertiseMsg m;
+  m.tier = 2;
+  m.seq = 0x01020304;
+  m.vids = {Vid::parse("11.1"), Vid::parse("12.3"), Vid::parse("13")};
+  util::BufWriter list;
+  list.u8(list_count(m.vids.size()));
+  for (const Vid& v : m.vids) v.serialize(list);
+  EXPECT_EQ(encode_advertise(m.tier, m.seq, list.data()), encode(MtpMessage{m}));
+}
+
+TEST(MtpCodecTest, DecodeAdvertiseReusesItsTarget) {
+  AdvertiseMsg big;
+  big.tier = 3;
+  big.seq = 9;
+  for (std::uint16_t root = 11; root < 75; ++root) big.vids.emplace_back(root);
+  AdvertiseMsg small;
+  small.tier = 1;
+  small.seq = 10;
+  small.vids = {Vid::parse("11")};
+
+  AdvertiseMsg out;
+  decode_advertise(encode(MtpMessage{big}), out);
+  EXPECT_EQ(out.vids, big.vids);
+  const Vid* storage = out.vids.data();
+  decode_advertise(encode(MtpMessage{small}), out);
+  EXPECT_EQ(out.tier, 1);
+  EXPECT_EQ(out.seq, 10u);
+  EXPECT_EQ(out.vids, small.vids);
+  EXPECT_EQ(out.vids.data(), storage);
+
+  EXPECT_THROW(decode_advertise(encode(MtpMessage{HelloMsg{}}), out),
+               util::CodecError);
+}
+
 TEST(MtpCodecTest, TypeOfCoversAllAlternatives) {
   EXPECT_EQ(type_of(MtpMessage{HelloMsg{}}), MsgType::kHello);
   EXPECT_EQ(type_of(MtpMessage{AdvertiseMsg{}}), MsgType::kAdvertise);

@@ -1,7 +1,8 @@
 // Behavioral unit tests for MtpRouter: Quick-to-Detect / Slow-to-Accept
 // liveness, hello suppression, keep-alive wire size, reliability
-// retransmission, and a parameterized tree-establishment property on
-// randomized Clos sizes (every VID is a real loop-free path).
+// retransmission, a parameterized tree-establishment property on
+// randomized Clos sizes (every VID is a real loop-free path), the
+// stale-assignment rule, and the ADVERTISE bytes a router puts on the wire.
 #include <gtest/gtest.h>
 
 #include "harness/deploy.hpp"
@@ -320,6 +321,217 @@ TEST(MtpDepthLimit, VidAtMaxDepthIsNeverExtended) {
   EXPECT_EQ(top.vid_table().size(), 1u);
   EXPECT_TRUE(top.vid_table().contains(Vid::parse("11.1.2")));
   EXPECT_TRUE(spine.neighbor_alive(2));
+}
+
+// An upstream statement lists every tree the neighbor holds, so a child VID
+// it omits was pruned on the neighbor's side and our assignment goes too —
+// unless a JOIN_OFFER naming the child still awaits its ack, because then the
+// neighbor has not seen that child yet.
+TEST(MtpStaleAssignment, OmittedChildIsPrunedUnlessItsOfferIsUnacked) {
+  net::SimContext ctx(5);
+  net::Network network(ctx);
+  MtpConfig leaf_cfg;
+  leaf_cfg.tier = 1;
+  leaf_cfg.server_subnet = ip::Ipv4Prefix::parse("192.168.11.0/24");
+  MtpConfig spine_cfg;
+  spine_cfg.tier = 2;
+  MtpConfig top_cfg;
+  top_cfg.tier = 3;
+  auto& leaf = network.add_node<MtpRouter>("leaf", leaf_cfg);
+  auto& spine = network.add_node<MtpRouter>("spine", spine_cfg);
+  auto& top = network.add_node<MtpRouter>("top", top_cfg);
+  network.connect(leaf, spine);  // spine port 1
+  network.connect(spine, top);   // spine port 2
+  network.start_all();
+  ctx.sched.run_until(ctx.now() + sim::Duration::millis(500));
+  ASSERT_TRUE(top.vid_table().contains(Vid::parse("11.1.2")));
+
+  auto from_top = [&](MtpMessage msg) {
+    net::Frame f;
+    f.dst = net::MacAddr::broadcast();
+    f.ethertype = net::EtherType::kMtp;
+    f.payload = encode(std::move(msg));
+    spine.handle_frame(spine.port(2), std::move(f));
+  };
+  auto assigned = [&] {
+    return spine.neighbor_summary().find("assigned 11.1.2") != std::string::npos;
+  };
+  const AdvertiseMsg holds_nothing{.tier = 3, .seq = 1'000'000, .vids = {}};
+  ASSERT_TRUE(assigned());
+
+  // Every offer is acked by now: the omission prunes the child.
+  from_top(holds_nothing);
+  EXPECT_FALSE(assigned());
+
+  // The top asks to join again, and the offer is still in flight when the
+  // next statement omitting the child arrives: the child stays.
+  from_top(JoinRequestMsg{{Vid::parse("11.1")}});
+  ASSERT_TRUE(assigned());
+  AdvertiseMsg still_nothing = holds_nothing;
+  still_nothing.seq += 1;
+  from_top(still_nothing);
+  EXPECT_TRUE(assigned());
+
+  // A statement that lists the child keeps it too.
+  from_top(AdvertiseMsg{
+      .tier = 3, .seq = still_nothing.seq + 1, .vids = {Vid::parse("11.1.2")}});
+  EXPECT_TRUE(assigned());
+}
+
+/// Records every frame delivered to it and sends nothing.
+class Recorder : public net::Node {
+ public:
+  Recorder(net::SimContext& ctx, std::string name)
+      : net::Node(ctx, std::move(name), 0) {}
+  void handle_frame(net::Port& /*in*/, net::Frame frame) override {
+    frames.push_back(std::move(frame));
+  }
+  std::vector<net::Frame> frames;
+};
+
+// Routers encode their VID list once per table change and reuse the bytes
+// for every ADVERTISE until it changes. Whatever state the router is in, the
+// ADVERTISE on the wire must be exactly what the codec makes of its tier,
+// its seq and the VIDs it offers.
+class AdvertiseWireTest : public ::testing::Test {
+ protected:
+  AdvertiseWireTest() {
+    MtpConfig leaf_cfg;
+    leaf_cfg.tier = 1;
+    leaf_cfg.server_subnet = ip::Ipv4Prefix::parse("192.168.11.0/24");
+    leaf11_ = &network_.add_node<MtpRouter>("leaf11", leaf_cfg);
+    leaf_cfg.server_subnet = ip::Ipv4Prefix::parse("192.168.12.0/24");
+    auto& leaf12 = network_.add_node<MtpRouter>("leaf12", leaf_cfg);
+    MtpConfig spine_cfg;
+    spine_cfg.tier = 2;
+    spine_ = &network_.add_node<MtpRouter>("spine", spine_cfg);
+    MtpConfig top_cfg;
+    top_cfg.tier = 3;
+    auto& top = network_.add_node<MtpRouter>("top", top_cfg);
+    leaf_rec_ = &network_.add_node<Recorder>("leaf_rec");
+    spine_rec_ = &network_.add_node<Recorder>("spine_rec");
+    network_.connect(*leaf11_, *spine_);     // spine port 1
+    network_.connect(leaf12, *spine_);       // spine port 2
+    network_.connect(*spine_, top);          // spine port 3
+    network_.connect(*spine_, *spine_rec_);  // spine port 4
+    network_.connect(*leaf11_, *leaf_rec_);  // leaf11 port 2
+    network_.start_all();
+    run_for(sim::Duration::millis(500));
+  }
+
+  void run_for(sim::Duration d) { ctx_.sched.run_until(ctx_.now() + d); }
+
+  /// Three HELLOs at one instant pass Slow-to-Accept, so `router` takes the
+  /// recorder on `port` as a new neighbor and sends it an ADVERTISE.
+  static void accept_recorder(MtpRouter& router, std::uint32_t port) {
+    for (int i = 0; i < 3; ++i) {
+      net::Frame hello;
+      hello.ethertype = net::EtherType::kMtp;
+      hello.payload = encode(MtpMessage{HelloMsg{}});
+      router.handle_frame(router.port(port), std::move(hello));
+    }
+  }
+
+  /// Lets an earlier acceptance time out, accepts the recorder again and
+  /// delivers the ADVERTISE that triggers.
+  void poke(MtpRouter& router, std::uint32_t port, Recorder& rec) {
+    run_for(sim::Duration::millis(150));
+    ASSERT_FALSE(router.neighbor_alive(port));
+    rec.frames.clear();
+    accept_recorder(router, port);
+    ASSERT_TRUE(router.neighbor_alive(port));
+    run_for(sim::Duration::millis(1));
+  }
+
+  /// The one ADVERTISE `rec` received must equal encode() of `router`'s
+  /// tier, the seq it carries and `vids`.
+  static void expect_wire_matches_codec(const Recorder& rec,
+                                        const MtpRouter& router,
+                                        const std::vector<Vid>& vids) {
+    std::vector<const net::Frame*> adverts;
+    for (const net::Frame& f : rec.frames) {
+      if (type_of(decode(f.payload)) == MsgType::kAdvertise) {
+        adverts.push_back(&f);
+      }
+    }
+    ASSERT_EQ(adverts.size(), 1u);
+    AdvertiseMsg expected;
+    expected.tier = static_cast<std::uint8_t>(router.config().tier);
+    expected.seq = std::get<AdvertiseMsg>(decode(adverts[0]->payload)).seq;
+    expected.vids = vids;
+    EXPECT_EQ(adverts[0]->payload, encode(MtpMessage{expected}));
+  }
+
+  /// The table in order: what a spine that is not draining offers.
+  [[nodiscard]] std::vector<Vid> spine_table() const {
+    std::vector<Vid> vids;
+    for (const VidEntry& e : spine_->vid_table().entries()) vids.push_back(e.vid);
+    return vids;
+  }
+
+  net::SimContext ctx_{13};
+  net::Network network_{ctx_};
+  MtpRouter* leaf11_ = nullptr;
+  MtpRouter* spine_ = nullptr;
+  Recorder* leaf_rec_ = nullptr;
+  Recorder* spine_rec_ = nullptr;
+};
+
+TEST_F(AdvertiseWireTest, Leaf) {
+  poke(*leaf11_, 2, *leaf_rec_);
+  expect_wire_matches_codec(*leaf_rec_, *leaf11_, {Vid::parse("11")});
+}
+
+TEST_F(AdvertiseWireTest, Spine) {
+  ASSERT_EQ(spine_->vid_table().size(), 2u);
+  poke(*spine_, 4, *spine_rec_);
+  expect_wire_matches_codec(*spine_rec_, *spine_, spine_table());
+}
+
+TEST_F(AdvertiseWireTest, DrainingRouterOffersNothing) {
+  spine_->drain();
+  poke(*spine_, 4, *spine_rec_);
+  expect_wire_matches_codec(*spine_rec_, *spine_, {});
+}
+
+TEST_F(AdvertiseWireTest, AfterVidAdd) {
+  poke(*spine_, 4, *spine_rec_);
+  spine_->debug_add_vid_entry(Vid::parse("13.7"), 1);
+  poke(*spine_, 4, *spine_rec_);
+  ASSERT_EQ(spine_table().back(), Vid::parse("13.7"));
+  expect_wire_matches_codec(*spine_rec_, *spine_, spine_table());
+}
+
+TEST_F(AdvertiseWireTest, AfterPortVidsRemoved) {
+  spine_->set_interface_down(1);
+  ASSERT_EQ(spine_table(), std::vector<Vid>{Vid::parse("12.1")});
+  poke(*spine_, 4, *spine_rec_);
+  expect_wire_matches_codec(*spine_rec_, *spine_, spine_table());
+}
+
+TEST_F(AdvertiseWireTest, AfterStopAndStart) {
+  spine_->drain();
+  spine_->stop();
+  spine_rec_->frames.clear();
+  spine_->start();  // advertises on every port at once, holding nothing
+  run_for(sim::Duration::millis(1));
+  expect_wire_matches_codec(*spine_rec_, *spine_, {});
+
+  run_for(sim::Duration::millis(500));  // rejoins both trees
+  ASSERT_EQ(spine_->vid_table().size(), 2u);
+  poke(*spine_, 4, *spine_rec_);
+  expect_wire_matches_codec(*spine_rec_, *spine_, spine_table());
+}
+
+// The cached VID list has the same one-byte count as every other list: a
+// router holding more than 255 advertisable VIDs refuses to send a wrapped
+// count.
+TEST_F(AdvertiseWireTest, MoreThan255VidsThrowInsteadOfWrapping) {
+  for (std::uint16_t root = 100; spine_->vid_table().size() <= kMaxListEntries;
+       ++root) {
+    spine_->debug_add_vid_entry(Vid(root).child(1), 1);
+  }
+  EXPECT_THROW(accept_recorder(*spine_, 4), util::CodecError);
 }
 
 }  // namespace
