@@ -171,14 +171,16 @@ int main() {
     }
     net::TrafficStats before = leaf.port(port).tx_stats();
     ctx.sched.run_until(ctx.now() + sim::Duration::seconds(5));
-    auto hello = (leaf.port(port).tx_stats().of(net::TrafficClass::kMtpHello).frames -
-                  before.of(net::TrafficClass::kMtpHello).frames) / 5.0;
-    auto data = (leaf.port(port).tx_stats().of(net::TrafficClass::kMtpData).frames -
-                 before.of(net::TrafficClass::kMtpData).frames) / 5.0;
+    auto rate = [&](net::TrafficClass tc) {
+      return static_cast<double>(leaf.port(port).tx_stats().of(tc).frames -
+                                 before.of(tc).frames) /
+             5.0;
+    };
+    double hello = rate(net::TrafficClass::kMtpHello);
+    double data = rate(net::TrafficClass::kMtpData);
     sweep.add_row({gap_us == 0 ? "0 (idle)"
                                : harness::fmt(1e6 / static_cast<double>(gap_us), 0),
-                   harness::fmt(static_cast<double>(hello), 1),
-                   harness::fmt(static_cast<double>(data), 1)});
+                   harness::fmt(hello, 1), harness::fmt(data, 1)});
   }
   sweep.print(/*with_csv=*/true);
   std::printf(

@@ -114,7 +114,7 @@ Ipv4Header Ipv4Header::parse(std::span<const std::uint8_t> data,
   r.u16();  // checksum (verified over the whole header below)
   h.src = Ipv4Addr(r.u32());
   h.dst = Ipv4Addr(r.u32());
-  h.options.assign(data.begin() + kSize, data.begin() + ihl);
+  h.options.assign(data.data() + kSize, data.data() + ihl);
 
   if (total_length < ihl || total_length > data.size()) {
     throw util::CodecError("IPv4: bad total length");

@@ -75,7 +75,9 @@ void ClosBlueprint::build() {
   const auto& p = params_;
   const bool multi = p.clusters > 1;
   auto cluster_prefix = [multi](std::uint32_t c) {
-    return multi ? "C" + std::to_string(c) + "-" : std::string();
+    std::string out;
+    if (multi) out.append("C").append(std::to_string(c)).append("-");
+    return out;
   };
 
   // --- Devices: leaves, pod spines, tops (cluster-major), then supers ---
@@ -250,8 +252,8 @@ void ClosBlueprint::build() {
         for (std::uint32_t h = 1; h <= p.hosts_per_tor; ++h) {
           HostSpec hs;
           hs.name = cluster_prefix(c) + "H-" + std::to_string(pod) + "-" +
-                    std::to_string(t) +
-                    (p.hosts_per_tor > 1 ? "-" + std::to_string(h) : "");
+                    std::to_string(t);
+          if (p.hosts_per_tor > 1) hs.name.append("-").append(std::to_string(h));
           hs.leaf = leaf_idx;
           hs.addr = subnet.host(h);
           hs.gateway = subnet.host(254);

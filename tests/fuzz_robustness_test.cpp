@@ -253,7 +253,7 @@ TEST(DecodeRoundTrip, MtpEveryTruncationRejectsOrParses) {
     EXPECT_EQ(std::vector<std::uint8_t>(reenc.begin(), reenc.end()), valid);
     for (std::size_t len = 0; len < valid.size(); ++len) {
       expect_parse_or_reject(
-          std::vector<std::uint8_t>(valid.begin(), valid.begin() + len));
+          std::vector<std::uint8_t>(valid.data(), valid.data() + len));
     }
   }
 }

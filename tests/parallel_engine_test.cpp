@@ -71,7 +71,7 @@ TEST(ShardedEngine, CrossShardPingPongRespectsLookahead) {
   sim::Scheduler a;
   sim::Scheduler b;
   sim::ShardedEngine engine({&a, &b},
-                            {.lookahead = Duration::micros(5)});
+                            {.lookahead = Duration::micros(5), .pair_lookahead = {}});
   std::vector<std::pair<int, std::int64_t>> log;  // (shard, fired at ns)
 
   // a -> b -> a -> ... each hop one lookahead later, like frames bouncing

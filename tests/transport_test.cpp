@@ -425,7 +425,9 @@ TEST(L3NodeTest, MultiPortNodeDeliversToEveryLocalAddress) {
                              "10.0.7.1"};
   std::vector<L3Node*> spokes;
   for (std::uint32_t i = 0; i < 5; ++i) {
-    auto& spoke = network.add_node<L3Node>("s" + std::to_string(i), 1);
+    std::string name = "s";
+    name += std::to_string(i);
+    auto& spoke = network.add_node<L3Node>(name, 1);
     network.connect(spoke, hub);
     const auto addr = ip::Ipv4Addr::parse(hub_addrs[i]);
     hub.configure_port(i + 1, addr, 24);

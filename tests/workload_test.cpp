@@ -190,9 +190,10 @@ class WorkloadScheduleTest : public ::testing::Test {
       std::snprintf(addr, sizeof(addr), "10.0.%d.1", i);
       char gw[32];
       std::snprintf(gw, sizeof(gw), "10.0.%d.2", i);
+      std::string name = "h";
+      name += std::to_string(i);
       hosts_.push_back(&network_.add_node<Host>(
-          "h" + std::to_string(i), ip::Ipv4Addr::parse(addr), 24,
-          ip::Ipv4Addr::parse(gw)));
+          name, ip::Ipv4Addr::parse(addr), 24, ip::Ipv4Addr::parse(gw)));
     }
   }
 
