@@ -10,6 +10,9 @@
 //   * rebooting mid-handshake must not wedge the surviving neighbor.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "harness/auditor.hpp"
 #include "harness/lifecycle.hpp"
 
@@ -97,6 +100,30 @@ TEST(Lifecycle, OnePodUpgradeMtp) {
   EXPECT_TRUE(engine.out_of_window_violations().empty());
   EXPECT_TRUE(engine.drain_violations().empty());
   EXPECT_TRUE(f.dep.converged());
+
+  // One in-window sweep pinned entry by entry, in report order: while the
+  // first ToR reboots, the others' exclusions rule out every live uplink
+  // toward its tree, and the rebooting ToR has no uplink at all.
+  std::vector<std::string> sweep;
+  for (const harness::Violation& v : auditor.violations()) {
+    if (v.at == sim::Time::zero() + sim::Duration::millis(3500)) {
+      sweep.push_back(v.str());
+    }
+  }
+  EXPECT_EQ(sweep, (std::vector<std::string>{
+      "[3.500000s] L-1-2 exclusion-blackhole: no eligible uplink toward "
+      "root 11 (live uplinks excluded)",
+      "[3.500000s] L-2-1 exclusion-blackhole: no eligible uplink toward "
+      "root 11 (live uplinks excluded)",
+      "[3.500000s] L-2-2 exclusion-blackhole: no eligible uplink toward "
+      "root 11 (live uplinks excluded)",
+      "[3.500000s] L-1-1 forwarding-blackhole: no eligible uplink toward "
+      "root 12",
+      "[3.500000s] L-1-1 forwarding-blackhole: no eligible uplink toward "
+      "root 13",
+      "[3.500000s] L-1-1 forwarding-blackhole: no eligible uplink toward "
+      "root 14",
+  }));
 }
 
 // The acceptance scenario: every spine (pod and top tier) of the 8-PoD
