@@ -16,6 +16,10 @@
 //     cannot beat physics — but exclusion tables that blackhole a
 //     destination with a live path are.
 //
+// The probe walk is one depth-first search per destination, shared by both
+// protocols and all source leaves: each (router, arrived-downward) state is
+// explored once, so a sweep costs O(states), not O(paths x source leaves).
+//
 // Violations are timestamped and accumulated; the chaos tests assert the log
 // stays empty across campaigns once each re-convergence window has passed.
 #pragma once
@@ -113,9 +117,13 @@ class FabricAuditor {
   void clear_log() { log_.clear(); }
 
  private:
-  struct ProbeBranch {
-    std::uint32_t device;
-    bool came_down;  // MTP: arrived via a downward hop (no re-ascent)
+  /// A probe destination: MR-MTP tree `root` or BGP host `addr`, the leaf
+  /// delivering it, and its name in reports ("root 13", "192.168.13.1").
+  struct Probe {
+    std::uint16_t root = 0;
+    ip::Ipv4Addr addr;
+    std::uint32_t dst_leaf = 0;
+    std::string label;
   };
 
   void audit_mtp(std::vector<Violation>& out);
@@ -132,13 +140,21 @@ class FabricAuditor {
   /// dying is policy, not a fabric fault).
   [[nodiscard]] bool leaf_probeable(std::uint32_t leaf) const;
 
-  void walk_mtp(std::uint32_t device, std::uint16_t dst_root,
-                std::uint32_t dst_leaf, bool came_down,
-                std::set<std::pair<std::uint32_t, bool>>& on_path, int depth,
-                std::vector<Violation>& out);
-  void walk_bgp(std::uint32_t device, ip::Ipv4Addr dst,
-                std::uint32_t dst_leaf, std::set<std::uint32_t>& on_path,
-                int depth, std::vector<Violation>& out);
+  /// Walks `probe` from every other probeable leaf over one colour array.
+  void probe_from_leaves(const Probe& probe, std::vector<Violation>& out);
+  /// Shared depth-first step at (`device`, arrived downward): TTL, loop and
+  /// finished checks, the protocol's next hops, then each egress wire.
+  void walk(const Probe& probe, std::uint32_t device, bool came_down,
+            int depth, std::vector<Violation>& out);
+  /// The data plane's egress ports at `device` (none once delivered or at a
+  /// flagged dead end); MTP also says whether they lead down the tree.
+  std::vector<std::uint32_t> mtp_next_hops(const Probe& probe,
+                                           std::uint32_t device,
+                                           bool came_down, bool& going_down,
+                                           std::vector<Violation>& out);
+  std::vector<std::uint32_t> bgp_next_hops(const Probe& probe,
+                                           std::uint32_t device,
+                                           std::vector<Violation>& out);
 
   /// Directed physical reachability between routers over admin-up ports and
   /// per-direction-deliverable links (the "live path" oracle).
@@ -177,6 +193,8 @@ class FabricAuditor {
   std::vector<std::pair<sim::Time, sim::Time>> windows_;
   /// Dedup within the current sweep (many probes hit the same bad hop).
   std::set<std::string> seen_this_sweep_;
+  /// walk()'s colours for this destination, indexed device * 2 + came_down.
+  std::vector<std::uint8_t> colour_;
   std::unique_ptr<sim::Timer> timer_;
   std::uint64_t sweeps_ = 0;
   std::uint64_t dirty_sweeps_ = 0;

@@ -177,6 +177,8 @@ class MtpRouter : public net::Node {
     std::uint64_t flowlet_reroutes = 0;
     /// Per-port weight recomputations (up-cache weight rebuilds).
     std::uint64_t wcmp_weight_updates = 0;
+
+    bool operator==(const MtpStats&) const = default;
   };
   [[nodiscard]] const MtpStats& mtp_stats() const { return stats_; }
 
@@ -197,9 +199,9 @@ class MtpRouter : public net::Node {
   /// Uplinks currently eligible to carry traffic toward `dst_root` (alive,
   /// admin-up, not excluded) — the load-balancer candidate set. Public so
   /// the FabricAuditor can walk virtual probes through the same decision.
-  /// Returns a reference into a per-root cache invalidated on liveness,
-  /// interface, tier, and exclusion changes; the data path calls this per
-  /// packet and must not allocate.
+  /// Returns a reference into the per-root cache the data path forwards
+  /// from, invalidated on liveness, interface, tier, and exclusion changes.
+  /// Lookups through here leave the up-cache counters in mtp_stats() alone.
   [[nodiscard]] const std::vector<std::uint32_t>& eligible_up_ports(
       std::uint16_t dst_root) const;
 
@@ -336,8 +338,10 @@ class MtpRouter : public net::Node {
   [[nodiscard]] std::int64_t flowlet_gap_ns() const;
   struct UpCacheSlot;
   /// eligible_up_ports' engine: the validated (rebuilt if stale) cache slot
-  /// for `dst_root`, ports and WCMP weights together.
-  [[nodiscard]] const UpCacheSlot& up_slot(std::uint16_t dst_root) const;
+  /// for `dst_root`, ports and WCMP weights together. `hit` says whether it
+  /// was already valid; only the forwarding path counts hits and misses.
+  [[nodiscard]] const UpCacheSlot& up_slot(std::uint16_t dst_root,
+                                           bool& hit) const;
   /// Flowlet-aware egress choice: keeps the flow's current port while the
   /// idle gap stays open and `still_valid(port)` holds; otherwise re-draws
   /// via `redraw()` and counts a reroute when an existing flow moved.
