@@ -61,7 +61,7 @@ inline const std::vector<std::uint64_t>& default_seeds() {
 inline void stamp_campaign(
     util::Json& doc, const std::vector<std::uint64_t>& seeds = default_seeds()) {
   util::JsonArray arr;
-  for (std::uint64_t s : seeds) arr.push_back(static_cast<std::int64_t>(s));
+  for (std::uint64_t s : seeds) arr.emplace_back(static_cast<std::int64_t>(s));
   doc["campaign_seeds"] = std::move(arr);
 }
 
