@@ -1,8 +1,8 @@
 // Failover walkthrough: watch MR-MTP's Quick-to-Detect / Slow-to-Accept
 // failure handling live. Fails the ToR-side interface of the L-1-1 <-> S-1-1
-// link (the paper's TC1) under traffic, narrates detection, withdrawal, and
-// destination-exclusion updates, then heals the link and shows the tree
-// rebuild.
+// link (the paper's TC1) under traffic, narrates each dead-neighbor
+// declaration, dumps the tables the withdrawal and destination-exclusion
+// updates left behind, then heals the link and shows the tree rebuild.
 //
 //   $ ./failover_demo
 #include <cstdio>
@@ -14,16 +14,11 @@ int main() {
   using namespace mrmtp;
 
   net::SimContext ctx(7);
-  // Protocol events from the routers are narrated via the trace log.
-  ctx.log.set_level(sim::LogLevel::kInfo);
-  ctx.log.set_sink(sim::Logger::stdout_sink());
-
   topo::ClosBlueprint blueprint(topo::ClosParams::paper_2pod());
   harness::Deployment dep(ctx, blueprint, harness::Proto::kMtp, {});
   dep.start();
 
   // Quiet period: initial neighbor acceptance + tree establishment.
-  ctx.log.set_level(sim::LogLevel::kOff);
   ctx.sched.run_until(sim::Time::from_ns(sim::Duration::seconds(2).ns()));
   std::printf("--- fabric converged; starting traffic 11 -> 14 ---\n");
 
@@ -36,8 +31,17 @@ int main() {
   sender.start_flow(flow);
   ctx.sched.run_until(ctx.now() + sim::Duration::seconds(1));
 
+  // Narrate every dead-neighbor declaration from here on: Quick-to-Detect
+  // at L-1-1 (its own interface) and, a dead interval later, at S-1-1.
+  for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
+    net::Node& router = dep.router(d);
+    router.on_neighbor_down = [&router](sim::Time at, std::uint32_t port) {
+      std::printf("[%s] %s: neighbor on port %u declared DOWN\n",
+                  at.str().c_str(), router.name().c_str(), port);
+    };
+  }
+
   // TC1: L-1-1's uplink interface to S-1-1 goes down.
-  ctx.log.set_level(sim::LogLevel::kInfo);
   topo::FailureInjector injector(dep.network(), blueprint);
   auto fp = blueprint.failure_point(topo::TestCase::kTC1);
   std::printf("\n--- failing %s port %u (link to %s) — paper TC1 ---\n",
@@ -70,7 +74,6 @@ int main() {
                                              : tor12.exclusions().dump().c_str());
 
   sender.stop_flow();
-  ctx.log.set_level(sim::LogLevel::kOff);
   ctx.sched.run_until(ctx.now() + sim::Duration::millis(100));
   const auto& sink = receiver.sink_stats();
   std::printf("\ntraffic across the whole episode: sent %llu, lost %llu "

@@ -111,6 +111,12 @@ void BgpRouter::start() {
     auto peer = std::make_unique<Peer>();
     peer->cfg = n;
     peer->index = index++;
+    for (std::uint32_t p = 1; p <= port_count(); ++p) {
+      if (port_addr(p) == n.local_addr) {
+        peer->port = p;
+        break;
+      }
+    }
     if (stream_seed_) {
       // Stream per (router seed, peer slot); the SplitMix64 expansion inside
       // Rng decorrelates adjacent seeds.
@@ -118,7 +124,7 @@ void BgpRouter::start() {
     }
     Peer& ref = *peer;
     peer->hold_timer = std::make_unique<sim::Timer>(
-        ctx_.sched, [this, &ref] { drop_session(ref, "hold timer expired"); });
+        ctx_.sched, [this, &ref] { drop_session(ref); });
     peer->keepalive_timer =
         std::make_unique<sim::Timer>(ctx_.sched, [this, &ref] {
           if (ref.state == SessionState::kEstablished) {
@@ -140,7 +146,7 @@ void BgpRouter::start() {
       bfd::BfdSession& session =
           bfd_->create_session(n.local_addr, n.peer_addr, config_.bfd,
                                [this, &ref](bool up) {
-                                 if (!up) drop_session(ref, "BFD down");
+                                 if (!up) drop_session(ref);
                                });
       if (stream_seed_) {
         session.use_stream_rng(~*stream_seed_ + ref.index);
@@ -191,7 +197,6 @@ void BgpRouter::stop() {
 void BgpRouter::drain() {
   if (draining_) return;
   draining_ = true;
-  log(sim::LogLevel::kInfo, "draining for maintenance");
   // Withdraw the world: advertisement_for() now returns nothing, so marking
   // every advertised prefix pending makes flush_peer() emit pure withdrawals.
   // Neighbors drop this router from their ECMP sets and re-route; our own
@@ -239,7 +244,7 @@ void BgpRouter::attach_connection(Peer& peer, transport::TcpConnection& conn) {
           [this, &peer](std::span<const std::uint8_t> data) {
             handle_stream(peer, data);
           },
-      .on_closed = [this, &peer] { drop_session(peer, "transport closed"); },
+      .on_closed = [this, &peer] { drop_session(peer); },
   });
 }
 
@@ -252,8 +257,6 @@ sim::Duration BgpRouter::jittered(Peer& peer, sim::Duration base) {
 
 void BgpRouter::session_established(Peer& peer) {
   peer.state = SessionState::kEstablished;
-  log(sim::LogLevel::kInfo, "BGP session with " + peer.cfg.peer_addr.str() +
-                                " established");
   peer.keepalive_timer->start(jittered(peer, config_.timers.keepalive));
   peer.hold_timer->start(config_.timers.hold);
   // Initial full-table advertisement.
@@ -265,11 +268,9 @@ void BgpRouter::session_established(Peer& peer) {
   flush_peer(peer);
 }
 
-void BgpRouter::drop_session(Peer& peer, std::string_view reason) {
+void BgpRouter::drop_session(Peer& peer) {
   if (peer.state == SessionState::kIdle && peer.conn == nullptr) return;
   bool was_established = peer.state == SessionState::kEstablished;
-  log(sim::LogLevel::kInfo, "BGP session with " + peer.cfg.peer_addr.str() +
-                                " down (" + std::string(reason) + ")");
   peer.state = SessionState::kIdle;
   peer.hold_timer->stop();
   peer.keepalive_timer->stop();
@@ -293,8 +294,8 @@ void BgpRouter::drop_session(Peer& peer, std::string_view reason) {
       peer.damp_updated = ctx_.now();
     }
   }
-  if (was_established && on_session_down) {
-    on_session_down(ctx_.now(), peer.cfg.peer_addr, reason);
+  if (was_established && on_neighbor_down) {
+    on_neighbor_down(ctx_.now(), peer.port);
   }
   if (was_established) {
     // Flush everything learned from this peer and reconverge, prefixes in
@@ -330,9 +331,6 @@ void BgpRouter::schedule_retry(Peer& peer) {
       if (suppress > wait) {
         wait = suppress;
         ++stats_.retries_damped;
-        log(sim::LogLevel::kInfo,
-            "BGP session with " + peer.cfg.peer_addr.str() +
-                " flap-damped; retry in " + wait.str());
       }
     }
   }
@@ -363,7 +361,7 @@ void BgpRouter::handle_stream(Peer& peer, std::span<const std::uint8_t> data) {
       if (peer.state == SessionState::kIdle) return;  // dropped mid-stream
     }
   } catch (const util::CodecError&) {
-    drop_session(peer, "malformed message");
+    drop_session(peer);
   }
 }
 
@@ -375,7 +373,7 @@ void BgpRouter::handle_message(Peer& peer, const BgpMessage& msg) {
   if (const auto* open = std::get_if<OpenMessage>(&msg)) {
     if (peer.cfg.peer_asn <= 65535 && open->asn != peer.cfg.peer_asn) {
       send_message(peer, NotificationMessage{2, 2});  // Bad Peer AS
-      drop_session(peer, "ASN mismatch");
+      drop_session(peer);
       return;
     }
     if (peer.state == SessionState::kOpenSent) {
@@ -392,14 +390,14 @@ void BgpRouter::handle_message(Peer& peer, const BgpMessage& msg) {
   }
 
   if (std::holds_alternative<NotificationMessage>(msg)) {
-    drop_session(peer, "notification received");
+    drop_session(peer);
     return;
   }
 
   if (const auto* update = std::get_if<UpdateMessage>(&msg)) {
     if (peer.state != SessionState::kEstablished) return;
     ++stats_.updates_received;
-    if (on_update_activity) on_update_activity(ctx_.now());
+    stats_.last_update_at = ctx_.now();
     process_update(peer, *update);
   }
 }
@@ -412,7 +410,7 @@ void BgpRouter::send_message(Peer& peer, const BgpMessage& msg) {
 void BgpRouter::send_update(Peer& peer, const UpdateMessage& update) {
   if (peer.conn == nullptr) return;
   ++stats_.updates_sent;
-  if (on_update_activity) on_update_activity(ctx_.now());
+  stats_.last_update_at = ctx_.now();
   peer.conn->send(encode(update), net::TrafficClass::kBgpUpdate);
 }
 
@@ -536,7 +534,7 @@ bool BgpRouter::run_decision(PrefixId id) {
     if (nexthops.empty()) {
       if (had) {
         routes().remove(prefix);
-        note_rib_change();
+        ++stats_.rib_changes;
       }
     } else {
       sorted_nexthops_.assign(nexthops.begin(), nexthops.end());
@@ -549,7 +547,7 @@ bool BgpRouter::run_decision(PrefixId id) {
           }
         }
         routes().set(prefix, ip::RouteProto::kBgp, nexthops);
-        note_rib_change();
+        ++stats_.rib_changes;
       }
     }
   }
@@ -642,11 +640,6 @@ BgpRouter::PathId BgpRouter::advertisement_for(const Peer& peer,
   return rib.out;
 }
 
-void BgpRouter::note_rib_change() {
-  ++stats_.rib_changes;
-  if (on_rib_change) on_rib_change(ctx_.now());
-}
-
 bool BgpRouter::originates(ip::Ipv4Prefix prefix) const {
   return std::find(config_.originate.begin(), config_.originate.end(),
                    prefix) != config_.originate.end();
@@ -669,7 +662,7 @@ void BgpRouter::on_port_down(net::Port& port) {
       if (config_.enable_bfd && bfd_ != nullptr) {
         if (auto* s = bfd_->find(peer->cfg.peer_addr)) s->stop();
       }
-      drop_session(*peer, "interface down");
+      drop_session(*peer);
       peer->retry_timer->stop();  // pointless to retry into a dead port
     }
   }

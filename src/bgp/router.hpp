@@ -118,6 +118,8 @@ class BgpRouter : public transport::L3Node {
   struct BgpStats {
     std::uint64_t updates_sent = 0;
     std::uint64_t updates_received = 0;
+    /// Instant of the last UPDATE sent or received: convergence ends here.
+    sim::Time last_update_at{};
     std::uint64_t keepalives_sent = 0;
     std::uint64_t rib_changes = 0;  // RouteTable mutations
     std::uint64_t sessions_flapped = 0;  // Established -> down transitions
@@ -128,17 +130,6 @@ class BgpRouter : public transport::L3Node {
 
   /// Decayed flap-damping penalty for the session with `peer` (tests/bench).
   [[nodiscard]] double peer_damping_penalty(ip::Ipv4Addr peer) const;
-
-  /// Fired whenever this router's RouteTable actually changes.
-  std::function<void(sim::Time)> on_rib_change;
-  /// Fired when an UPDATE is sent or received (convergence end detection —
-  /// the paper records the time the update messages stop).
-  std::function<void(sim::Time)> on_update_activity;
-  /// Fired when an Established session goes down (hold timer, BFD, interface
-  /// or transport event) — the detection instant of the gray-failure
-  /// latency metric.
-  std::function<void(sim::Time, ip::Ipv4Addr peer, std::string_view reason)>
-      on_session_down;
 
  private:
   /// Dense per-router handle of a prefix, assigned on first sight. The
@@ -207,6 +198,9 @@ class BgpRouter : public transport::L3Node {
   struct Peer {
     NeighborConfig cfg;
     std::size_t index = 0;
+    /// The port carrying the session's /31 (0: none), reported when the
+    /// session goes down.
+    std::uint32_t port = 0;
     SessionState state = SessionState::kIdle;
     transport::TcpConnection* conn = nullptr;
     MessageReader reader;
@@ -231,7 +225,7 @@ class BgpRouter : public transport::L3Node {
   void start_peer(Peer& peer);
   void attach_connection(Peer& peer, transport::TcpConnection& conn);
   void session_established(Peer& peer);
-  void drop_session(Peer& peer, std::string_view reason);
+  void drop_session(Peer& peer);
   void schedule_retry(Peer& peer);
   /// Peer's damping penalty decayed to the current instant (no mutation).
   [[nodiscard]] double decayed_penalty(const Peer& peer) const;
@@ -262,7 +256,6 @@ class BgpRouter : public transport::L3Node {
   /// with own ASN prepended), or kNoPath for none/suppressed.
   [[nodiscard]] PathId advertisement_for(const Peer& peer,
                                          const PrefixRib& rib) const;
-  void note_rib_change();
 
   [[nodiscard]] bool originates(ip::Ipv4Prefix prefix) const;
   [[nodiscard]] std::uint32_t egress_port_for(ip::Ipv4Addr next_hop) const;

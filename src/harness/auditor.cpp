@@ -213,39 +213,13 @@ void FabricAuditor::watch_liveness(sim::Duration cascade_window) {
   }
 
   for (std::uint32_t d = 0; d < dep_.router_count(); ++d) {
-    if (dep_.proto() == Proto::kMtp) {
-      mtp::MtpRouter& r = dep_.mtp(d);
-      auto prev = std::move(r.on_neighbor_down);
-      r.on_neighbor_down = [this, d, prev = std::move(prev)](
-                               sim::Time at, std::uint32_t port,
-                               bool local_detect) {
-        if (local_detect) note_down_declaration(d, port, at);
-        if (prev) prev(at, port, local_detect);
-      };
-    } else {
-      bgp::BgpRouter& r = dep_.bgp(d);
-      // Session peers are keyed by address; resolve each to the local port
-      // carrying that /31 so the link can be inspected at declaration time.
-      std::map<std::uint32_t, std::uint32_t> port_of_peer;  // addr -> port
-      for (const bgp::NeighborConfig& n : r.config().neighbors) {
-        for (std::uint32_t p = 1; p <= r.port_count(); ++p) {
-          if (r.port_addr(p) == n.local_addr) {
-            port_of_peer[n.peer_addr.value()] = p;
-            break;
-          }
-        }
-      }
-      auto prev = std::move(r.on_session_down);
-      r.on_session_down = [this, d, port_of_peer = std::move(port_of_peer),
-                           prev = std::move(prev)](sim::Time at,
-                                                   ip::Ipv4Addr peer,
-                                                   std::string_view reason) {
-        auto it = port_of_peer.find(peer.value());
-        note_down_declaration(d, it == port_of_peer.end() ? 0 : it->second,
-                              at);
-        if (prev) prev(at, peer, reason);
-      };
-    }
+    net::Node& r = dep_.router(d);
+    auto prev = std::move(r.on_neighbor_down);
+    r.on_neighbor_down = [this, d, prev = std::move(prev)](sim::Time at,
+                                                           std::uint32_t port) {
+      note_down_declaration(d, port, at);
+      if (prev) prev(at, port);
+    };
   }
 }
 

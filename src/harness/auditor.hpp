@@ -70,10 +70,9 @@ class FabricAuditor {
   void start(sim::Duration period);
   void stop();
 
-  /// Opt-in: chains onto every router's neighbor-down / session-down
-  /// callback (preserving whatever was installed before) and scores each
-  /// locally detected dead declaration against the physical link at that
-  /// instant. A declaration while the link is wired, both ends are admin-up,
+  /// Opt-in: chains onto every router's on_neighbor_down (preserving
+  /// whatever was installed before) and scores each dead declaration
+  /// against the physical link at that instant. A declaration while the link is wired, both ends are admin-up,
   /// and neither direction is impaired is a *false dead* — the smoking gun
   /// of a congestion-induced control-plane cascade — and is logged as
   /// kFalseDeadNeighbor. Also tracks cascade depth: consecutive dead

@@ -59,9 +59,6 @@ class ShardedFabric {
 
   /// Valid after attach(); throws before.
   [[nodiscard]] sim::ShardedEngine& engine();
-  /// Minimum delay over shard-crossing links (the old global lookahead;
-  /// kept for reporting — the engine itself uses the per-pair matrix).
-  [[nodiscard]] sim::Duration lookahead() const { return lookahead_; }
 
  private:
   const topo::ClosBlueprint* blueprint_;

@@ -11,40 +11,54 @@ namespace mrmtp::harness {
 
 namespace {
 
-/// Sums transmitted L2 bytes of one traffic class over every fabric port.
-struct ByteSnapshot {
-  std::uint64_t raw = 0;
-  std::uint64_t padded = 0;
+/// The protocol counters every failure metric is a change of: update
+/// messages sent + received, table changes, the last update instant, and
+/// update bytes at L2. Taken while the engine is paused just before the
+/// failure and again after the run.
+struct CounterSnapshot {
+  struct Router {
+    std::uint64_t updates = 0;
+    /// MR-MTP: changes from the router's own detection.
+    std::uint64_t changes_local = 0;
+    /// MR-MTP: changes from received updates. BGP: every RIB change (local
+    /// and received look alike; the failure point's two routers are
+    /// excluded from the remote count instead).
+    std::uint64_t changes_remote = 0;
+    sim::Time last_update_at{};
+  };
+  std::vector<Router> routers;
+  std::uint64_t bytes_raw = 0;
+  std::uint64_t bytes_padded = 0;
 };
 
-ByteSnapshot bgp_update_bytes(Deployment& dep) {
-  ByteSnapshot snap;
-  for (std::size_t d = 0; d < dep.router_count(); ++d) {
-    net::Node& node = dep.router(static_cast<std::uint32_t>(d));
-    for (std::uint32_t p = 1; p <= node.port_count(); ++p) {
+CounterSnapshot snapshot(Deployment& dep) {
+  CounterSnapshot snap;
+  snap.routers.resize(dep.router_count());
+  for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
+    CounterSnapshot::Router& r = snap.routers[d];
+    if (dep.proto() == Proto::kMtp) {
+      const auto& s = dep.mtp(d).mtp_stats();
+      r.updates = s.updates_sent + s.updates_received;
+      r.changes_local = s.table_changes_local;
+      r.changes_remote = s.table_changes_remote;
+      r.last_update_at = s.last_update_at;
+      snap.bytes_raw += s.update_bytes_raw;
+      snap.bytes_padded += s.update_bytes_padded;
+      continue;
+    }
+    bgp::BgpRouter& router = dep.bgp(d);
+    const auto& s = router.bgp_stats();
+    r.updates = s.updates_sent + s.updates_received;
+    r.changes_remote = s.rib_changes;
+    r.last_update_at = s.last_update_at;
+    for (std::uint32_t p = 1; p <= router.port_count(); ++p) {
       const auto& c =
-          node.port(p).tx_stats().of(net::TrafficClass::kBgpUpdate);
-      snap.raw += c.bytes;
-      snap.padded += c.padded_bytes;
+          router.port(p).tx_stats().of(net::TrafficClass::kBgpUpdate);
+      snap.bytes_raw += c.bytes;
+      snap.bytes_padded += c.padded_bytes;
     }
   }
   return snap;
-}
-
-ByteSnapshot mtp_update_bytes(Deployment& dep) {
-  ByteSnapshot snap;
-  for (std::size_t d = 0; d < dep.router_count(); ++d) {
-    const auto& stats =
-        dep.mtp(static_cast<std::uint32_t>(d)).mtp_stats();
-    snap.raw += stats.update_bytes_raw;
-    snap.padded += stats.update_bytes_padded;
-  }
-  return snap;
-}
-
-ByteSnapshot update_bytes(Deployment& dep) {
-  return dep.proto() == Proto::kMtp ? mtp_update_bytes(dep)
-                                    : bgp_update_bytes(dep);
 }
 
 /// Per-flow roll-up of the probe traffic between one sender/receiver pair.
@@ -94,13 +108,12 @@ traffic::FlowStats probe_flow_stats(const traffic::Host& sender,
 /// runs inline on the calling thread. Because shards may run on their own
 /// threads, the runner never touches cross-shard state mid-window:
 ///
-///   * Instrumentation callbacks write per-shard single-writer slots (merged
-///     after the run) instead of shared locals — a shard only ever touches
-///     its own entry, and the engine's thread joins order those writes
-///     before the merge.
-///   * The pre-failure snapshot (converged(), byte counters, arming the
-///     trackers) runs on this thread while the engine is paused at
-///     t_fail - 1ns, so arming precedes every event at t_fail.
+///   * Metrics are changes in the routers' own counters between a snapshot
+///     taken while the engine is paused at t_fail - 1ns (run_until is
+///     inclusive, so it precedes every event at t_fail) and one after the
+///     run.
+///   * The one event observed as it happens, a neighbor declared down,
+///     writes a per-router slot, so each slot has a single writer.
 ///   * Auditor sweeps pause the engine at each audit tick (AuditedRun).
 ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
   topo::ClosBlueprint blueprint(spec.topo);
@@ -115,67 +128,14 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
   const sim::Time t_end = t_fail + spec.post_failure;
   const sim::Time t_run_end = t_end + sim::Duration::millis(200);
 
-  // --- instrumentation (per-shard slots; std::uint8_t, never vector<bool>,
-  // so adjacent shards write distinct memory locations) ---
-  struct Track {
-    std::uint8_t changed_any = 0;
-    std::uint8_t changed_remote = 0;
-  };
-  std::vector<Track> tracks(dep.router_count());
-  std::vector<sim::Time> last_update(shards, sim::Time::zero());
-  std::vector<std::uint64_t> update_events(shards, 0);
-  std::vector<std::uint8_t> detected(shards, 0);
-  std::vector<sim::Time> detect_at(shards, sim::Time::zero());
-  // Written only while the engine is paused; shard threads merely read it.
-  bool armed = false;
-
+  // Detection instant: each router's first neighbor-down at or after the
+  // failure.
+  std::vector<std::optional<sim::Time>> detected(dep.router_count());
   for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
-    Track& track = tracks[d];
-    const std::uint32_t s = fabric.plan().shard_of(d);
-    sim::Time* lu = &last_update[s];
-    std::uint64_t* ue = &update_events[s];
-    std::uint8_t* det = &detected[s];
-    sim::Time* dat = &detect_at[s];
-    auto note_detection = [&armed, det, dat](sim::Time at) {
-      if (!armed || *det != 0) return;
-      *det = 1;
-      *dat = at;  // first per shard == earliest per shard (time order)
+    dep.router(d).on_neighbor_down = [&slot = detected[d], t_fail](
+                                         sim::Time at, std::uint32_t) {
+      if (at >= t_fail && !slot) slot = at;
     };
-    if (spec.proto == Proto::kMtp) {
-      auto& router = dep.mtp(d);
-      router.on_update_activity = [&armed, lu, ue](sim::Time at) {
-        if (!armed) return;
-        *lu = std::max(*lu, at);
-        ++*ue;
-      };
-      router.on_table_change = [&track, &armed](sim::Time, bool from_update) {
-        if (!armed) return;
-        track.changed_any = 1;
-        if (from_update) track.changed_remote = 1;
-      };
-      router.on_neighbor_down = [note_detection](sim::Time at, std::uint32_t,
-                                                 bool local_detect) {
-        if (local_detect) note_detection(at);
-      };
-    } else {
-      auto& router = dep.bgp(d);
-      router.on_update_activity = [&armed, lu, ue](sim::Time at) {
-        if (!armed) return;
-        *lu = std::max(*lu, at);
-        ++*ue;
-      };
-      router.on_session_down = [note_detection](sim::Time at, ip::Ipv4Addr,
-                                                std::string_view) {
-        note_detection(at);
-      };
-      router.on_rib_change = [&track, &armed](sim::Time) {
-        if (!armed) return;
-        track.changed_any = 1;
-        // Local and received-update changes look alike here; the failure
-        // point's two routers are excluded from the remote count below.
-        track.changed_remote = 1;
-      };
-    }
   }
 
   dep.start();
@@ -203,7 +163,6 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
   // --- failure (the injector and chaos engine route every event to the
   // owning shard themselves) ---
   ExperimentResult result;
-  ByteSnapshot before;
   const topo::FailurePoint fp = blueprint.failure_point(spec.tc);
   topo::FailureInjector injector(dep.network(), blueprint);
   topo::ChaosEngine chaos(dep.network(), blueprint, spec.seed);
@@ -231,25 +190,25 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
   auto wall_start = std::chrono::steady_clock::now();
   run.run_until(t_fail - sim::Duration::nanos(1));
   result.initial_converged = dep.converged();
-  before = update_bytes(dep);
-  armed = true;
+  const CounterSnapshot before = snapshot(dep);
   run.run_until(t_run_end);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
 
-  // --- merge the per-shard slots ---
-  sim::Time last_update_merged = sim::Time::zero();
-  std::optional<sim::Time> first_detect;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    result.update_events += update_events[s];
-    last_update_merged = std::max(last_update_merged, last_update[s]);
-    if (detected[s] != 0 && (!first_detect || detect_at[s] < *first_detect)) {
-      first_detect = detect_at[s];
-    }
+  const CounterSnapshot after = snapshot(dep);
+  sim::Time last_update = sim::Time::zero();
+  for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
+    result.update_events +=
+        after.routers[d].updates - before.routers[d].updates;
+    last_update = std::max(last_update, after.routers[d].last_update_at);
   }
-  if (result.update_events > 0) result.convergence = last_update_merged - t_fail;
+  if (result.update_events > 0) result.convergence = last_update - t_fail;
+  std::optional<sim::Time> first_detect;
+  for (const std::optional<sim::Time>& at : detected) {
+    if (at && (!first_detect || *at < *first_detect)) first_detect = at;
+  }
   if (first_detect) {
     result.failure_detected = true;
     result.detection_latency = *first_detect - t_fail;
@@ -268,19 +227,19 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
   std::uint32_t owner = blueprint.device_index(fp.device);
   std::uint32_t peer = blueprint.device_index(fp.peer);
   for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
-    if (tracks[d].changed_any != 0) ++result.blast_any;
-    bool remote = tracks[d].changed_remote != 0 && d != owner && d != peer;
-    if (remote) {
+    const CounterSnapshot::Router& b = before.routers[d];
+    const CounterSnapshot::Router& a = after.routers[d];
+    const bool remote = a.changes_remote != b.changes_remote;
+    if (remote || a.changes_local != b.changes_local) ++result.blast_any;
+    if (remote && d != owner && d != peer) {
       ++result.blast_remote;
       if (blueprint.device(d).role == topo::Role::kLeaf) {
         ++result.blast_leaf_remote;
       }
     }
   }
-
-  ByteSnapshot after = update_bytes(dep);
-  result.ctrl_bytes_raw = after.raw - before.raw;
-  result.ctrl_bytes_padded = after.padded - before.padded;
+  result.ctrl_bytes_raw = after.bytes_raw - before.bytes_raw;
+  result.ctrl_bytes_padded = after.bytes_padded - before.bytes_padded;
 
   for (std::uint32_t s = 0; s < shards; ++s) {
     const sim::Scheduler& sched = fabric.ctx(s).sched;

@@ -42,11 +42,8 @@ void MtpRouter::start() {
     }
     s.hello_timer = std::make_unique<sim::Timer>(
         ctx_.sched, [this, p] { send_hello_if_idle(p); });
-    s.dead_timer = std::make_unique<sim::Timer>(ctx_.sched, [this, p] {
-      log(sim::LogLevel::kDebug,
-          "dead timer expired on port " + std::to_string(p));
-      neighbor_down(p, /*local_detect=*/true);
-    });
+    s.dead_timer = std::make_unique<sim::Timer>(
+        ctx_.sched, [this, p] { neighbor_down(p); });
     s.join_retry_timer =
         std::make_unique<sim::Timer>(ctx_.sched, [this, p] { retry_joins(p); });
     s.update_flush_timer =
@@ -72,7 +69,6 @@ void MtpRouter::stop() {
 void MtpRouter::drain() {
   if (!started_ || draining_) return;
   draining_ = true;
-  log(sim::LogLevel::kInfo, "draining for maintenance");
   // Cost-out upward: withdraw every child VID assigned to each upstream so
   // it leaves our trees and stops steering tree traffic down through us.
   for (std::uint32_t up : alive_ports(/*upstream=*/true)) {
@@ -153,7 +149,7 @@ void MtpRouter::note_update_stats(const net::Frame& frame) {
   ++stats_.updates_sent;
   stats_.update_bytes_raw += frame.wire_size();
   stats_.update_bytes_padded += frame.padded_wire_size();
-  if (on_update_activity) on_update_activity(ctx_.now());
+  stats_.last_update_at = ctx_.now();
 }
 
 void MtpRouter::send_reliable(std::uint32_t port_number, MtpMessage msg) {
@@ -349,8 +345,6 @@ void MtpRouter::neighbor_up(std::uint32_t p) {
   invalidate_up_cache();
   ++stats_.neighbors_accepted;
   s.dead_timer->start(config_.timers.dead);
-  log(sim::LogLevel::kInfo, "neighbor on port " + std::to_string(p) + " UP");
-  if (on_neighbor_up) on_neighbor_up(ctx_.now(), p);
 
   // Stale failure state for this port is moot; the neighbor re-announces
   // any unreachability below.
@@ -368,7 +362,7 @@ void MtpRouter::neighbor_up(std::uint32_t p) {
   update_reachability(recheck);
 }
 
-void MtpRouter::neighbor_down(std::uint32_t p, bool local_detect) {
+void MtpRouter::neighbor_down(std::uint32_t p) {
   PortState& s = pstate(p);
   if (!s.alive) return;
   s.alive = false;
@@ -394,12 +388,8 @@ void MtpRouter::neighbor_down(std::uint32_t p, bool local_detect) {
     s.damp_penalty += config_.timers.damping_penalty;
     if (s.damp_penalty >= config_.timers.damping_suppress) {
       s.damp_suppressed = true;
-      log(sim::LogLevel::kInfo,
-          "port " + std::to_string(p) + " flap-damped (penalty " +
-              std::to_string(static_cast<int>(s.damp_penalty)) + ")");
     }
   }
-  log(sim::LogLevel::kInfo, "neighbor on port " + std::to_string(p) + " DOWN");
 
   // Abandon reliable messages directed at the dead neighbor.
   for (auto it = outstanding_.begin(); it != outstanding_.end();) {
@@ -410,11 +400,8 @@ void MtpRouter::neighbor_down(std::uint32_t p, bool local_detect) {
   s.assigned.clear();
   exclusions_.clear_port(p);
 
-  if (!lost.empty()) {
-    ++stats_.table_changes_local;
-    if (on_table_change) on_table_change(ctx_.now(), false);
-  }
-  if (on_neighbor_down) on_neighbor_down(ctx_.now(), p, local_detect);
+  if (!lost.empty()) ++stats_.table_changes_local;
+  if (on_neighbor_down) on_neighbor_down(ctx_.now(), p);
   process_vid_loss(lost, /*from_update=*/false);
 
   // Losing an uplink can sever the default route entirely (wildcard) and
@@ -455,7 +442,7 @@ void MtpRouter::on_port_down(net::Port& p) {
   if (!s.mtp) return;
   invalidate_up_cache();
   s.hello_timer->stop();
-  neighbor_down(p.number(), /*local_detect=*/true);
+  neighbor_down(p.number());
 }
 
 void MtpRouter::on_port_up(net::Port& p) {
@@ -600,10 +587,6 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseMsg& msg) {
     }
     if (duplicate_root) {
       ++stats_.duplicate_roots_rejected;
-      log(sim::LogLevel::kError,
-          "rejecting join of tree " + base.str() + " on port " +
-              std::to_string(p) + ": root already rooted on another port "
-              "(duplicate rack subnet?)");
       continue;
     }
     if (!already_joined && s.join_pending.insert(base).second) added = true;
@@ -658,10 +641,6 @@ void MtpRouter::handle_join_offer(std::uint32_t p, const JoinOfferMsg& msg) {
     }
     if (foreign_root) {
       ++stats_.duplicate_roots_rejected;
-      log(sim::LogLevel::kError,
-          "rejecting offered VID " + child.str() + " on port " +
-              std::to_string(p) +
-              ": tree already joined elsewhere (duplicate rack subnet?)");
       continue;
     }
     if (vid_table_.add(child, p)) new_roots.insert(child.root());
@@ -669,9 +648,6 @@ void MtpRouter::handle_join_offer(std::uint32_t p, const JoinOfferMsg& msg) {
   if (s.join_pending.empty()) s.join_retry_timer->stop();
   if (new_roots.empty()) return;
 
-  log(sim::LogLevel::kDebug,
-      "acquired " + std::to_string(msg.vids.size()) + " VID(s) on port " +
-          std::to_string(p));
   // New VIDs mean new trees to offer upward — and a fresher capability
   // statement downward, so children steering tree traffic up learn we can
   // now deliver for these roots (a cold-rejoined router earns traffic back
@@ -866,7 +842,7 @@ void MtpRouter::flush_updates(std::uint32_t p) {
 
 void MtpRouter::handle_withdraw(std::uint32_t p, const VidWithdrawMsg& msg) {
   ++stats_.updates_received;
-  if (on_update_activity) on_update_activity(ctx_.now());
+  stats_.last_update_at = ctx_.now();
 
   std::vector<VidEntry> removed;
   for (const Vid& v : msg.vids) {
@@ -879,14 +855,13 @@ void MtpRouter::handle_withdraw(std::uint32_t p, const VidWithdrawMsg& msg) {
   if (removed.empty()) return;
 
   ++stats_.table_changes_remote;
-  if (on_table_change) on_table_change(ctx_.now(), true);
   process_vid_loss(removed, /*from_update=*/true);
 }
 
 void MtpRouter::handle_dest_unreach(std::uint32_t p, const DestUnreachMsg& msg) {
   if (!is_upstream(p)) return;  // unreachability only flows down
   ++stats_.updates_received;
-  if (on_update_activity) on_update_activity(ctx_.now());
+  stats_.last_update_at = ctx_.now();
 
   std::set<std::uint16_t> affected;
   bool changed = false;
@@ -900,7 +875,6 @@ void MtpRouter::handle_dest_unreach(std::uint32_t p, const DestUnreachMsg& msg) 
   if (changed) {
     invalidate_up_cache();
     ++stats_.table_changes_remote;
-    if (on_table_change) on_table_change(ctx_.now(), true);
   }
   update_reachability(affected);
 }
@@ -908,7 +882,7 @@ void MtpRouter::handle_dest_unreach(std::uint32_t p, const DestUnreachMsg& msg) 
 void MtpRouter::handle_dest_clear(std::uint32_t p, const DestClearMsg& msg) {
   if (!is_upstream(p)) return;
   ++stats_.updates_received;
-  if (on_update_activity) on_update_activity(ctx_.now());
+  stats_.last_update_at = ctx_.now();
 
   std::set<std::uint16_t> affected;
   bool changed = false;
@@ -922,7 +896,6 @@ void MtpRouter::handle_dest_clear(std::uint32_t p, const DestClearMsg& msg) {
   if (changed) {
     invalidate_up_cache();
     ++stats_.table_changes_remote;
-    if (on_table_change) on_table_change(ctx_.now(), true);
   }
   update_reachability(affected);
 }

@@ -22,7 +22,6 @@
 // exclusions downward.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -143,6 +142,8 @@ class MtpRouter : public net::Node {
     std::uint64_t update_bytes_raw = 0;    // L2 bytes, unpadded
     std::uint64_t update_bytes_padded = 0; // L2 bytes with 60B minimum
     std::uint64_t updates_received = 0;
+    /// Instant of the last update sent or received: convergence ends here.
+    sim::Time last_update_at{};
     std::uint64_t data_forwarded = 0;
     std::uint64_t data_delivered = 0;
     std::uint64_t data_dropped_no_path = 0;
@@ -181,20 +182,6 @@ class MtpRouter : public net::Node {
     bool operator==(const MtpStats&) const = default;
   };
   [[nodiscard]] const MtpStats& mtp_stats() const { return stats_; }
-
-  /// Fired when an update message (withdraw/unreach/clear) is sent or
-  /// received — the convergence-quiescence signal.
-  std::function<void(sim::Time)> on_update_activity;
-  /// Fired on forwarding-state changes; `from_update` distinguishes remote
-  /// (blast-radius) updates from local detection.
-  std::function<void(sim::Time, bool from_update)> on_table_change;
-  /// Fired when a neighbor is declared down — the detection instant of the
-  /// gray-failure latency metric. `local_detect` is true for this router's
-  /// own dead timer / interface event (vs a received update).
-  std::function<void(sim::Time, std::uint32_t port, bool local_detect)>
-      on_neighbor_down;
-  /// Fired when a neighbor passes Slow-to-Accept and is (re-)accepted.
-  std::function<void(sim::Time, std::uint32_t port)> on_neighbor_up;
 
   /// Uplinks currently eligible to carry traffic toward `dst_root` (alive,
   /// admin-up, not excluded) — the load-balancer candidate set. Public so
@@ -269,7 +256,7 @@ class MtpRouter : public net::Node {
   // --- liveness ---
   void note_rx(net::Port& in);
   void neighbor_up(std::uint32_t port);
-  void neighbor_down(std::uint32_t port, bool local_detect);
+  void neighbor_down(std::uint32_t port);
   void send_hello_if_idle(std::uint32_t port);
   /// Applies the half-life decay to the port's damping penalty in place.
   void decay_damping(PortState& s);

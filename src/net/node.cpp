@@ -72,7 +72,6 @@ void Node::set_interface_down(std::uint32_t port_number) {
   Port& p = port(port_number);
   if (!p.admin_up_) return;
   p.admin_up_ = false;
-  log(sim::LogLevel::kInfo, "interface " + p.str() + " DOWN");
   on_port_down(p);
 }
 
@@ -80,12 +79,7 @@ void Node::set_interface_up(std::uint32_t port_number) {
   Port& p = port(port_number);
   if (p.admin_up_) return;
   p.admin_up_ = true;
-  log(sim::LogLevel::kInfo, "interface " + p.str() + " UP");
   on_port_up(p);
-}
-
-void Node::log(sim::LogLevel level, std::string msg) const {
-  ctx_.log.log(ctx_.sched.now(), level, name_, std::move(msg));
 }
 
 }  // namespace mrmtp::net

@@ -10,13 +10,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "net/frame.hpp"
 #include "net/stats.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
@@ -39,7 +39,6 @@ struct SimContext {
   explicit SimContext(std::uint64_t seed = 1) : rng(seed) {}
 
   sim::Scheduler sched;
-  sim::Logger log;
   sim::Rng rng;
   std::uint32_t shard = 0;
   sim::ShardBus* bus = nullptr;
@@ -156,9 +155,15 @@ class Node {
   virtual void on_port_down(Port& port) { (void)port; }
   virtual void on_port_up(Port& port) { (void)port; }
 
- protected:
-  void log(sim::LogLevel level, std::string msg) const;
+  /// Fired when the routing protocol declares the neighbor on `port` dead:
+  /// MR-MTP's dead timer or interface event, or an Established BGP session
+  /// dropping (port 0 if no local port carries the session's /31). The one
+  /// protocol event observers see as it happens: detection latency and the
+  /// auditor's false-dead check need the instant itself; every other
+  /// metric is read from the protocol's counters.
+  std::function<void(sim::Time, std::uint32_t port)> on_neighbor_down;
 
+ protected:
   SimContext& ctx_;
 
  private:

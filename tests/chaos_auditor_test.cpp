@@ -4,8 +4,10 @@
 // their timer designs predict.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/auditor.hpp"
@@ -302,6 +304,46 @@ TEST(GrayDetection, StackOrderingUnderBlackhole) {
   EXPECT_LT(bfd.ns(), bgp.ns());
   EXPECT_LE(bfd.ns(), sim::Duration::millis(500).ns());
   EXPECT_GE(bgp.ns(), sim::Duration::seconds(1).ns());
+}
+
+// A TC1 interface failure is declared dead by exactly the two routers on
+// the failed link, each naming its own port on it: the owner at once
+// (Quick-to-Detect / fast external fallover) and the peer when its dead,
+// hold or BFD timer runs out. For BGP that port carries the session's /31.
+TEST(NeighborDown, FiresOnBothEndsOfTheFailedLinkOnly) {
+  for (Proto proto : harness::kAllProtos) {
+    Converged f(proto);
+    ASSERT_TRUE(f.dep.converged()) << to_string(proto);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> downs;
+    for (std::uint32_t d = 0; d < f.dep.router_count(); ++d) {
+      f.dep.router(d).on_neighbor_down = [&downs, d](sim::Time,
+                                                     std::uint32_t port) {
+        downs.emplace_back(d, port);
+      };
+    }
+    const topo::FailurePoint fp = f.bp.failure_point(topo::TestCase::kTC1);
+    const std::uint32_t owner = f.bp.device_index(fp.device);
+    const std::uint32_t peer = f.bp.device_index(fp.peer);
+    const std::uint32_t peer_port =
+        f.dep.router(owner).port(fp.port).peer()->number();
+    if (proto != Proto::kMtp) {
+      auto mine = f.dep.bgp(owner).port_addr(fp.port);
+      auto theirs = f.dep.bgp(peer).port_addr(peer_port);
+      ASSERT_TRUE(mine && theirs) << to_string(proto);
+      EXPECT_EQ(mine->value() ^ theirs->value(), 1u) << to_string(proto);
+    }
+
+    topo::FailureInjector injector(f.dep.network(), f.bp);
+    injector.schedule_failure(topo::TestCase::kTC1,
+                              f.ctx.now() + sim::Duration::millis(10));
+    f.ctx.sched.run_until(f.ctx.now() + sim::Duration::seconds(5));
+
+    std::sort(downs.begin(), downs.end());
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> want = {
+        {owner, fp.port}, {peer, peer_port}};
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(downs, want) << to_string(proto);
+  }
 }
 
 // Regression for the FailureInjector lifetime bugs: recovery before failure

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
@@ -319,26 +318,6 @@ TEST(RngTest, ForkProducesIndependentStream) {
   Rng a(5);
   Rng child = a.fork();
   EXPECT_NE(a.next(), child.next());
-}
-
-TEST(LoggerTest, LevelFilteringAndCapture) {
-  Logger log;
-  log.set_level(LogLevel::kInfo);
-  log.capture(true);
-  log.log(Time::zero(), LogLevel::kDebug, "x", "dropped");
-  log.log(Time::zero(), LogLevel::kWarn, "y", "kept");
-  ASSERT_EQ(log.captured().size(), 1u);
-  EXPECT_EQ(log.captured()[0].message, "kept");
-  EXPECT_EQ(log.captured()[0].component, "y");
-}
-
-TEST(LoggerTest, SinkReceivesRecords) {
-  Logger log;
-  log.set_level(LogLevel::kTrace);
-  int count = 0;
-  log.set_sink([&](const LogRecord&) { ++count; });
-  log.log(Time::zero(), LogLevel::kError, "z", "msg");
-  EXPECT_EQ(count, 1);
 }
 
 }  // namespace
