@@ -40,6 +40,15 @@ HOST_DEPENDENT = {
     "speedup_vs_1",
     "hardware_concurrency",
     "ns_per_event",
+    # Thread timing of the sharded engine and same-process wall-rate
+    # ratios: they move with scheduling and load on the host.
+    "sync_windows",
+    "horizon_stalls",
+    "mailbox_high_water",
+    "coalesced_windows",
+    "events_per_sec_priority",
+    "events_per_sec_shared",
+    "priority_vs_shared_ratio",
 }
 
 

@@ -495,10 +495,7 @@ bool BgpRouter::run_decision(PrefixId id) {
     }
     for (const Path& p : rib.in) {
       if (peers_[p.peer]->state != SessionState::kEstablished) continue;
-      if (paths_.get(p.as_path).size() == best_len &&
-          (config_.ecmp || chosen.empty())) {
-        chosen.push_back(p);
-      }
+      if (paths_.get(p.as_path).size() == best_len) chosen.push_back(p);
     }
   }
 
@@ -753,7 +750,7 @@ std::string BgpRouter::config_text() const {
   for (const auto& p : config_.originate) {
     out += "  network " + p.str() + "\n";
   }
-  if (config_.ecmp) out += "  maximum-paths 64\n";
+  out += "  maximum-paths 64\n";  // multipath relax, always on
   out += " exit-address-family\n";
   if (config_.enable_bfd) {
     out += "bfd\n profile lowerIntervals\n  transmit-interval " +

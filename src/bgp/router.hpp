@@ -59,7 +59,6 @@ struct BgpConfig {
   std::uint32_t asn = 0;
   std::uint32_t router_id = 0;
   BgpTimers timers;
-  bool ecmp = true;  // multipath relax
   bool enable_bfd = false;
   bfd::BfdSession::Config bfd;
   std::vector<NeighborConfig> neighbors;

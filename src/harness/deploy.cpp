@@ -141,8 +141,6 @@ void Deployment::deploy_mtp(const DeployOptions& options) {
     mtp::MtpConfig cfg;
     cfg.tier = spec.tier;
     cfg.timers = options.mtp_timers;
-    cfg.path_select = options.path_select;
-    cfg.flowlet_gap = options.effective_flowlet_gap();
     if (spec.role == topo::Role::kLeaf) {
       cfg.server_subnet = spec.server_subnet;
       if (options.duplicate_subnet_of.has_value() &&
@@ -158,8 +156,11 @@ void Deployment::deploy_mtp(const DeployOptions& options) {
         if (hs.leaf == d) cfg.rack_hosts[hs.addr] = base_port + offset++;
       }
     }
-    routers_.push_back(
-        &network_.add_node_on<mtp::MtpRouter>(device_ctx(d), spec.name, cfg));
+    auto& router =
+        network_.add_node_on<mtp::MtpRouter>(device_ctx(d), spec.name, cfg);
+    router.enable_path_select(options.path_select,
+                              options.effective_flowlet_gap());
+    routers_.push_back(&router);
   }
 
   add_hosts(options);
@@ -180,7 +181,6 @@ void Deployment::deploy_bgp(const DeployOptions& options) {
     cfg.asn = spec.asn;
     cfg.router_id = d + 1;
     cfg.timers = options.bgp_timers;
-    cfg.ecmp = true;
     cfg.enable_bfd = proto_ == Proto::kBgpBfd;
     cfg.bfd = options.bfd;
     for (std::uint32_t li = 0; li < bp.links().size(); ++li) {
@@ -199,13 +199,11 @@ void Deployment::deploy_bgp(const DeployOptions& options) {
     auto& router = network_.add_node_on<bgp::BgpRouter>(device_ctx(d),
                                                         spec.name, spec.tier,
                                                         cfg);
-    if (options.path_select != util::PathSelect::kHrw) {
-      // Must precede start(): install() reads the mode to stamp next-hop
-      // weights as sessions come up. Hosts keep plain HRW — their single
-      // default route has nothing to weight.
-      router.enable_path_select(options.path_select,
-                                options.effective_flowlet_gap());
-    }
+    // Must precede start(): install() reads the mode to stamp next-hop
+    // weights as sessions come up. Hosts keep plain HRW — their single
+    // default route has nothing to weight.
+    router.enable_path_select(options.path_select,
+                              options.effective_flowlet_gap());
     routers_.push_back(&router);
   }
 

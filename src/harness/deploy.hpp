@@ -104,14 +104,10 @@ struct DeployOptions {
   /// weights next hops by link capacity; kWcmpFlowlet adds flowlet
   /// switching with congestion feedback. The WCMP/flowlet A/B knob.
   util::PathSelect path_select = util::PathSelect::kHrw;
-  /// Idle gap that closes a flowlet (kWcmpFlowlet). Zero = derive ~8x the
-  /// propagation RTT of the longest host-to-host path from `link.delay`,
-  /// floored at 500 µs.
-  sim::Duration flowlet_gap{};
 
-  /// The flowlet gap actually deployed (explicit value or RTT derivation).
+  /// The idle gap that closes a flowlet (kWcmpFlowlet): ~8x the propagation
+  /// RTT of the longest host-to-host path, floored at 500 µs.
   [[nodiscard]] sim::Duration effective_flowlet_gap() const {
-    if (flowlet_gap.ns() > 0) return flowlet_gap;
     // Longest 3-tier host-to-host path is 6 hops each way = 12 traversals.
     const std::int64_t derived = 8 * 12 * link.delay.ns();
     return sim::Duration::nanos(derived > 500'000 ? derived : 500'000);

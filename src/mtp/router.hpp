@@ -13,7 +13,7 @@
 //
 // Failure handling implements the paper's Quick-to-Detect / Slow-to-Accept:
 // a neighbor is declared down after a single missed hello window (dead
-// interval = 2 x hello), and re-accepted only after `accept_streak`
+// interval = 2 x hello), and re-accepted only after `kAcceptStreak`
 // consecutive messages. Every MTP frame counts as a keep-alive; the 1-byte
 // HELLO is sent only on links idle for a hello interval.
 //
@@ -35,11 +35,14 @@
 
 namespace mrmtp::mtp {
 
+/// Consecutive keep-alives required to re-accept a neighbor (paper: 3).
+inline constexpr int kAcceptStreak = 3;
+/// Hop budget of every DATA frame a leaf originates.
+inline constexpr std::uint8_t kDataTtl = 16;
+
 struct MtpTimers {
   sim::Duration hello = sim::Duration::millis(50);
   sim::Duration dead = sim::Duration::millis(100);
-  /// Consecutive keep-alives required to re-accept a neighbor (paper: 3).
-  int accept_streak = 3;
   /// Ablation switch: false accepts a neighbor on the first keep-alive.
   bool slow_to_accept = true;
   /// Reliable-control retransmission interval and cap.
@@ -72,23 +75,12 @@ struct MtpConfig {
   /// the paper's Listing 2 configuration carries besides the rack port.
   std::uint32_t tier = 1;
   MtpTimers timers;
-  std::uint8_t data_ttl = 16;
 
   // --- leaf-only ---
   /// Rack subnet; the VID is its third octet (192.168.11.0/24 -> 11).
   std::optional<ip::Ipv4Prefix> server_subnet;
   /// Host-facing ports (plain IP, no MTP), keyed by the host address.
   std::map<ip::Ipv4Addr, std::uint32_t> rack_hosts;
-
-  // --- weighted multipath / flowlet switching ---
-  /// Path-selection policy for DATA forwarding. kHrw (default) keeps the
-  /// PR 2 equal-share behavior bit-for-bit; kWcmp weights candidates by
-  /// advertised downstream capacity; kWcmpFlowlet adds flowlet-granularity
-  /// rerouting with congestion feedback.
-  util::PathSelect path_select = util::PathSelect::kHrw;
-  /// Idle gap that closes a flowlet (kWcmpFlowlet only). Zero means "use
-  /// the deploy-derived default" (a multiple of the fabric RTT).
-  sim::Duration flowlet_gap{};
 };
 
 class MtpRouter : public net::Node {
@@ -172,12 +164,6 @@ class MtpRouter : public net::Node {
     /// Uplink candidate-set cache hits / (re)builds.
     std::uint64_t up_cache_hits = 0;
     std::uint64_t up_cache_misses = 0;
-    // --- weighted multipath / flowlet switching ---
-    /// Existing flows that re-drew their weighted choice after an idle gap
-    /// (or candidate loss) and landed on a different egress.
-    std::uint64_t flowlet_reroutes = 0;
-    /// Per-port weight recomputations (up-cache weight rebuilds).
-    std::uint64_t wcmp_weight_updates = 0;
 
     bool operator==(const MtpStats&) const = default;
   };
@@ -318,23 +304,12 @@ class MtpRouter : public net::Node {
   [[nodiscard]] std::vector<std::uint32_t> alive_ports(bool upstream) const;
   /// Configured egress capacity of `p` in Mb/s (1.0 when unwired).
   [[nodiscard]] double port_mbps(std::uint32_t p) const;
-  /// Congestion feedback multiplier for WCMP+flowlet picks: 0.05 while the
-  /// egress data band is PFC-paused, 0.25 while its backlog exceeds the ECN
-  /// threshold, 1.0 otherwise.
-  [[nodiscard]] double congestion_discount(std::uint32_t p) const;
-  [[nodiscard]] std::int64_t flowlet_gap_ns() const;
   struct UpCacheSlot;
   /// eligible_up_ports' engine: the validated (rebuilt if stale) cache slot
   /// for `dst_root`, ports and WCMP weights together. `hit` says whether it
   /// was already valid; only the forwarding path counts hits and misses.
   [[nodiscard]] const UpCacheSlot& up_slot(std::uint16_t dst_root,
                                            bool& hit) const;
-  /// Flowlet-aware egress choice: keeps the flow's current port while the
-  /// idle gap stays open and `still_valid(port)` holds; otherwise re-draws
-  /// via `redraw()` and counts a reroute when an existing flow moved.
-  template <typename Contains, typename Redraw>
-  std::uint32_t flowlet_select(std::uint64_t flow_hash, Contains&& still_valid,
-                               Redraw&& redraw);
   PortState& pstate(std::uint32_t port) { return ports_state_[port - 1]; }
   [[nodiscard]] const PortState& pstate(std::uint32_t port) const {
     return ports_state_[port - 1];
@@ -396,9 +371,6 @@ class MtpRouter : public net::Node {
   mutable std::vector<UpCacheSlot> up_cache_;
   mutable std::uint64_t up_cache_epoch_ = 1;
   mutable MtpStats stats_;
-  /// Flowlet table in the owning shard's StatsArena; non-null only under
-  /// kWcmpFlowlet.
-  net::FlowletTable* flowlets_ = nullptr;
 };
 
 }  // namespace mrmtp::mtp

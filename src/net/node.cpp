@@ -61,6 +61,37 @@ SwitchBuffer& Node::enable_switch_buffer(const SwitchBufferParams& params) {
   return *switch_buffer_;
 }
 
+void Node::enable_path_select(util::PathSelect mode,
+                              sim::Duration flowlet_gap) {
+  path_select_ = mode;
+  if (flowlet_gap.ns() > 0) flowlet_gap_ns_ = flowlet_gap.ns();
+  if (mode == util::PathSelect::kWcmpFlowlet && flowlets_ == nullptr) {
+    flowlets_ = &ctx_.stats.alloc_flowlets();
+  }
+}
+
+double Node::congestion_factor(std::uint32_t port_number) const {
+  const Port& out = port(port_number);
+  const Link* l = out.link();
+  if (l == nullptr) return 1.0;
+  const auto dir = l->direction_from(out);
+  if (l->data_paused(dir)) return 0.05;
+  // A zero threshold means the buffer marks no data frames; judge backlog
+  // against the default ECN threshold then, as without a SwitchBuffer.
+  std::uint64_t threshold = 64 * 1024;
+  if (switch_buffer_ != nullptr &&
+      switch_buffer_->params().ecn_data_threshold != 0) {
+    threshold = switch_buffer_->params().ecn_data_threshold;
+  }
+  if (l->queued_data_bytes(dir) > threshold) return 0.25;
+  return 1.0;
+}
+
+void Node::note_flowlet_reroute(std::uint32_t port_number) const {
+  const Port& out = port(port_number);
+  if (out.connected()) out.link()->note_flowlet_reroute(out);
+}
+
 void Node::receive_frame(Port& in, Frame frame) {
   std::uint32_t saved = rx_port_no_;
   rx_port_no_ = in.number();

@@ -19,6 +19,7 @@
 #include "net/stats.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
+#include "util/hash.hpp"
 
 namespace mrmtp::sim {
 class ShardBus;
@@ -127,6 +128,60 @@ class Node {
     return switch_buffer_.get();
   }
 
+  /// Sets the multipath policy `pick_egress` applies. Under kWcmpFlowlet a
+  /// flow keeps its egress until it idles for `flowlet_gap` (zero keeps the
+  /// 500 µs default: above one 1000 B serialization at 100 Mb/s, below
+  /// PFC-pause stalls); its flowlet table lives in this shard's StatsArena.
+  void enable_path_select(util::PathSelect mode, sim::Duration flowlet_gap = {});
+  [[nodiscard]] util::PathSelect path_select() const { return path_select_; }
+
+  /// The one egress choice of every forwarding plane: index of the
+  /// candidate among `n` (> 0) that carries a packet of `flow_hash`.
+  /// `key_of(i)` is candidate i's rendezvous key, `weight_of(i)` its WCMP
+  /// base weight and `port_of(i)` its egress port.
+  ///   kHrw:         equal-share rendezvous over the keys (weights unread);
+  ///   kWcmp:        weighted rendezvous;
+  ///   kWcmpFlowlet: weighted rendezvous with each weight discounted by its
+  ///                 egress's congestion, redrawn only when the flow's
+  ///                 flowlet closes or its port leaves the candidate set.
+  template <typename KeyOf, typename WeightOf, typename PortOf>
+  [[nodiscard]] std::size_t pick_egress(std::uint64_t flow_hash, std::size_t n,
+                                        KeyOf&& key_of, WeightOf&& weight_of,
+                                        PortOf&& port_of) {
+    if (path_select_ == util::PathSelect::kHrw) {
+      return util::hrw_pick(flow_hash, n, key_of);
+    }
+    const bool flowlet = path_select_ == util::PathSelect::kWcmpFlowlet;
+    auto redraw = [&] {
+      return util::hrw_pick_weighted(flow_hash, n, key_of, [&](std::size_t i) {
+        const double w = static_cast<double>(weight_of(i));
+        return flowlet ? w * congestion_factor(port_of(i)) : w;
+      });
+    };
+    if (!flowlet) return redraw();
+    // The table index wants uniform low bits; the flow hashes are FNV, whose
+    // low bits are weaker than mix64's, so rescramble.
+    const std::uint64_t key = util::mix64(flow_hash);
+    const std::int64_t now_ns = ctx_.now().ns();
+    FlowletTable::Slot& s = flowlets_->probe(key);
+    const bool known = s.key == key && s.last_ns >= 0;
+    if (known && now_ns - s.last_ns <= flowlet_gap_ns_) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (port_of(i) == s.port) {  // flowlet open, port still a candidate
+          s.last_ns = now_ns;
+          return i;
+        }
+      }
+    }
+    const std::size_t pick = redraw();
+    const std::uint32_t chosen = port_of(pick);
+    if (known && chosen != s.port) note_flowlet_reroute(chosen);
+    s.key = key;
+    s.last_ns = now_ns;
+    s.port = chosen;
+    return pick;
+  }
+
   /// Delivery entry point used by Link: records which port the frame arrived
   /// on (ingress attribution for PFC charging — forwarding is synchronous in
   /// every protocol stack here) and dispatches to handle_frame().
@@ -169,12 +224,22 @@ class Node {
  private:
   friend class Network;
 
+  /// Congestion feedback on a kWcmpFlowlet weight: 0.05 while `port`'s
+  /// egress data band is PFC-paused, 0.25 while its backlog exceeds the ECN
+  /// threshold (64 KiB without a marking SwitchBuffer), 1.0 otherwise.
+  [[nodiscard]] double congestion_factor(std::uint32_t port) const;
+  /// Counts a flowlet redrawn onto `port` on its link direction.
+  void note_flowlet_reroute(std::uint32_t port) const;
+
   std::string name_;
   std::uint32_t id_ = 0;
   std::uint32_t tier_;
   std::vector<std::unique_ptr<Port>> ports_;
   std::unique_ptr<SwitchBuffer> switch_buffer_;
   std::uint32_t rx_port_no_ = 0;
+  util::PathSelect path_select_ = util::PathSelect::kHrw;
+  std::int64_t flowlet_gap_ns_ = 500'000;
+  FlowletTable* flowlets_ = nullptr;  // non-null once kWcmpFlowlet is enabled
 };
 
 }  // namespace mrmtp::net
