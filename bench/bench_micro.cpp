@@ -16,6 +16,7 @@
 #include "net/network.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
+#include "transport/l3_node.hpp"
 
 namespace {
 
@@ -72,16 +73,18 @@ void BM_LpmLookup(benchmark::State& state) {
 BENCHMARK(BM_LpmLookup)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_EcmpSelect(benchmark::State& state) {
-  ip::RouteTable table;
+  net::SimContext ctx;
+  transport::L3Node router(ctx, "r", 1);
   std::vector<ip::NextHop> hops;
   for (std::uint32_t i = 0; i < 8; ++i) {
     hops.push_back({ip::Ipv4Addr(i), i + 1});
   }
-  table.set(ip::Ipv4Prefix::parse("192.168.0.0/16"), ip::RouteProto::kBgp, hops);
+  router.routes().set(ip::Ipv4Prefix::parse("192.168.0.0/16"),
+                      ip::RouteProto::kBgp, hops);
   std::uint64_t h = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        table.select(ip::Ipv4Addr::parse("192.168.14.1"), h++));
+        router.select_next_hop(ip::Ipv4Addr::parse("192.168.14.1"), h++));
   }
 }
 BENCHMARK(BM_EcmpSelect);

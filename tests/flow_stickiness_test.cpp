@@ -11,6 +11,7 @@
 #include "harness/deploy.hpp"
 #include "harness/report.hpp"
 #include "ip/route_table.hpp"
+#include "transport/l3_node.hpp"
 
 namespace mrmtp {
 namespace {
@@ -18,8 +19,12 @@ namespace {
 using harness::Deployment;
 using harness::Proto;
 
+// The route-table cases drive the IP forwarding choice itself,
+// L3Node::select_next_hop, on a router in its default (hrw) path-select mode.
 TEST(HrwRouteTableTest, MemberLossRemapsOnlyItsFlows) {
-  ip::RouteTable table;
+  net::SimContext ctx;
+  transport::L3Node router(ctx, "r", 1);
+  ip::RouteTable& table = router.routes();
   const auto pfx = ip::Ipv4Prefix::parse("192.168.14.0/24");
   const auto dst = ip::Ipv4Addr::parse("192.168.14.1");
   std::vector<ip::NextHop> group{{ip::Ipv4Addr::parse("172.16.0.1"), 1},
@@ -31,7 +36,7 @@ TEST(HrwRouteTableTest, MemberLossRemapsOnlyItsFlows) {
   constexpr std::uint64_t kFlows = 4096;
   std::vector<std::uint32_t> before(kFlows);
   for (std::uint64_t f = 0; f < kFlows; ++f) {
-    before[f] = table.select(dst, f * 0x9e3779b9u + 7)->port;
+    before[f] = router.select_next_hop(dst, f * 0x9e3779b9u + 7)->port;
   }
 
   // Kill member 3 (port 3): re-install the route without it.
@@ -41,7 +46,7 @@ TEST(HrwRouteTableTest, MemberLossRemapsOnlyItsFlows) {
   std::uint64_t moved = 0;
   std::uint64_t orphaned = 0;
   for (std::uint64_t f = 0; f < kFlows; ++f) {
-    std::uint32_t after = table.select(dst, f * 0x9e3779b9u + 7)->port;
+    std::uint32_t after = router.select_next_hop(dst, f * 0x9e3779b9u + 7)->port;
     if (before[f] == 3) {
       ++orphaned;
       EXPECT_NE(after, 3u);
@@ -57,7 +62,9 @@ TEST(HrwRouteTableTest, MemberLossRemapsOnlyItsFlows) {
 }
 
 TEST(HrwRouteTableTest, MemberReturnReclaimsOnlyItsFlows) {
-  ip::RouteTable table;
+  net::SimContext ctx;
+  transport::L3Node router(ctx, "r", 1);
+  ip::RouteTable& table = router.routes();
   const auto pfx = ip::Ipv4Prefix::parse("10.0.0.0/8");
   const auto dst = ip::Ipv4Addr::parse("10.1.2.3");
   std::vector<ip::NextHop> survivors{{ip::Ipv4Addr::parse("172.16.0.1"), 1},
@@ -67,7 +74,7 @@ TEST(HrwRouteTableTest, MemberReturnReclaimsOnlyItsFlows) {
   constexpr std::uint64_t kFlows = 2048;
   std::vector<std::uint32_t> before(kFlows);
   for (std::uint64_t f = 0; f < kFlows; ++f) {
-    before[f] = table.select(dst, f * 1315423911u)->port;
+    before[f] = router.select_next_hop(dst, f * 1315423911u)->port;
   }
 
   // The third member comes (back) up.
@@ -77,7 +84,7 @@ TEST(HrwRouteTableTest, MemberReturnReclaimsOnlyItsFlows) {
 
   std::uint64_t claimed = 0;
   for (std::uint64_t f = 0; f < kFlows; ++f) {
-    std::uint32_t after = table.select(dst, f * 1315423911u)->port;
+    std::uint32_t after = router.select_next_hop(dst, f * 1315423911u)->port;
     if (after == 3) {
       ++claimed;
     } else {

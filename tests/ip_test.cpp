@@ -7,6 +7,7 @@
 #include "ip/packet.hpp"
 #include "ip/route_table.hpp"
 #include "sim/random.hpp"
+#include "transport/l3_node.hpp"
 
 namespace mrmtp::ip {
 namespace {
@@ -185,18 +186,23 @@ TEST_F(RouteTableTest, DefaultRouteMatchesEverything) {
   EXPECT_EQ(table_.lookup(Ipv4Addr::parse("200.1.2.3"))->nexthops[0].port, 7u);
 }
 
-TEST_F(RouteTableTest, EcmpSelectIsDeterministicPerHash) {
-  table_.set(Ipv4Prefix::parse("192.168.14.0/24"), RouteProto::kBgp,
-             {{Ipv4Addr::parse("172.16.0.1"), 3},
-              {Ipv4Addr::parse("172.16.8.1"), 4}});
+TEST(EcmpSelectTest, EcmpSelectIsDeterministicPerHash) {
+  // The forwarding choice itself: an IP router's select_next_hop in its
+  // default (hrw) path-select mode.
+  net::SimContext ctx;
+  transport::L3Node router(ctx, "r", 1);
+  router.routes().set(Ipv4Prefix::parse("192.168.14.0/24"), RouteProto::kBgp,
+                      {{Ipv4Addr::parse("172.16.0.1"), 3},
+                       {Ipv4Addr::parse("172.16.8.1"), 4}});
   auto dst = Ipv4Addr::parse("192.168.14.1");
+  EXPECT_EQ(router.select_next_hop(Ipv4Addr::parse("10.0.0.1"), 1), nullptr);
   // Same flow hash always lands on the same member (flow affinity), and
   // across many hashes the rendezvous pick uses every member.
   std::set<std::uint32_t> ports;
   for (std::uint64_t f = 0; f < 64; ++f) {
-    const NextHop* pick = table_.select(dst, f);
+    const NextHop* pick = router.select_next_hop(dst, f);
     ASSERT_NE(pick, nullptr);
-    EXPECT_EQ(table_.select(dst, f)->port, pick->port);
+    EXPECT_EQ(router.select_next_hop(dst, f)->port, pick->port);
     ports.insert(pick->port);
   }
   EXPECT_EQ(ports, (std::set<std::uint32_t>{3, 4}));
