@@ -95,15 +95,11 @@ OverloadOutcome run_storm(harness::Proto proto, bool priority) {
   out.false_dead = auditor.false_dead_count();
   out.cascade_depth = auditor.max_cascade_depth();
 
-  for (const auto& link : dep.network().links()) {
-    const net::Link::Stats& ls = link->stats();
-    for (const net::Link::DirStats* ds : {&ls.ab, &ls.ba}) {
-      out.ctrl_drops += ds->dropped_queue_control;
-      out.data_drops += ds->dropped_queue_full - ds->dropped_queue_control;
-      out.ctrl_hw_ns = std::max(out.ctrl_hw_ns, ds->control_backlog_hw_ns);
-      out.data_hw_ns = std::max(out.data_hw_ns, ds->data_backlog_hw_ns);
-    }
-  }
+  const net::LinkDirStats links = harness::link_totals(dep.network());
+  out.ctrl_drops = links.dropped_queue_control;
+  out.data_drops = links.dropped_queue_full - links.dropped_queue_control;
+  out.ctrl_hw_ns = links.control_backlog_hw_ns;
+  out.data_hw_ns = links.data_backlog_hw_ns;
 
   auto* sink = dynamic_cast<traffic::Host*>(&dep.network().find(victim));
   if (sink != nullptr) out.victim_received = sink->sink_stats().received;

@@ -1,5 +1,6 @@
 #include "harness/deploy.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/hash.hpp"
@@ -526,6 +527,35 @@ bool Deployment::converged() const {
     }
   }
   return true;
+}
+
+net::LinkDirStats link_totals(const net::Network& network) {
+  net::LinkDirStats t;
+  for (const auto& link : network.links()) {
+    for (const net::LinkDirStats* d : {&link->stats().ab, &link->stats().ba}) {
+      t.delivered += d->delivered;
+      t.dropped_link_down += d->dropped_link_down;
+      t.dropped_dst_down += d->dropped_dst_down;
+      t.dropped_impairment += d->dropped_impairment;
+      t.dropped_blackhole += d->dropped_blackhole;
+      t.dropped_queue_full += d->dropped_queue_full;
+      t.duplicated += d->duplicated;
+      t.dropped_queue_control += d->dropped_queue_control;
+      t.control_backlog_hw_ns =
+          std::max(t.control_backlog_hw_ns, d->control_backlog_hw_ns);
+      t.data_backlog_hw_ns =
+          std::max(t.data_backlog_hw_ns, d->data_backlog_hw_ns);
+      t.ecn_marked_data += d->ecn_marked_data;
+      t.ecn_marked_ctrl += d->ecn_marked_ctrl;
+      t.pause_tx += d->pause_tx;
+      t.pause_rx += d->pause_rx;
+      t.dropped_buffer += d->dropped_buffer;
+      t.pause_ns += d->pause_ns;
+      t.flowlet_reroutes += d->flowlet_reroutes;
+      t.wcmp_weight_updates += d->wcmp_weight_updates;
+    }
+  }
+  return t;
 }
 
 }  // namespace mrmtp::harness

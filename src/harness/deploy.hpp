@@ -215,4 +215,8 @@ class Deployment {
   std::map<std::uint32_t, std::set<std::uint32_t>> operator_down_;
 };
 
+/// Both directions of every link in `network`, summed counter by counter
+/// into one LinkDirStats; the two backlog high-waters take the maximum.
+[[nodiscard]] net::LinkDirStats link_totals(const net::Network& network);
+
 }  // namespace mrmtp::harness

@@ -264,24 +264,18 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
     }
   }
 
-  for (const auto& link : dep.network().links()) {
-    const net::Link::Stats& ls = link->stats();
-    for (const net::Link::DirStats* ds : {&ls.ab, &ls.ba}) {
-      result.ctrl_queue_drops += ds->dropped_queue_control;
-      result.data_queue_drops +=
-          ds->dropped_queue_full - ds->dropped_queue_control;
-      result.ctrl_backlog_hw_ns =
-          std::max(result.ctrl_backlog_hw_ns, ds->control_backlog_hw_ns);
-      result.data_backlog_hw_ns =
-          std::max(result.data_backlog_hw_ns, ds->data_backlog_hw_ns);
-      result.ecn_marked += ds->ecn_marked_data + ds->ecn_marked_ctrl;
-      result.pause_tx += ds->pause_tx;
-      result.pause_rx += ds->pause_rx;
-      result.buffer_drops += ds->dropped_buffer;
-      result.flowlet_reroutes += ds->flowlet_reroutes;
-      result.wcmp_weight_updates += ds->wcmp_weight_updates;
-    }
-  }
+  const net::LinkDirStats links = link_totals(dep.network());
+  result.ctrl_queue_drops = links.dropped_queue_control;
+  result.data_queue_drops =
+      links.dropped_queue_full - links.dropped_queue_control;
+  result.ctrl_backlog_hw_ns = links.control_backlog_hw_ns;
+  result.data_backlog_hw_ns = links.data_backlog_hw_ns;
+  result.ecn_marked = links.ecn_marked();
+  result.pause_tx = links.pause_tx;
+  result.pause_rx = links.pause_rx;
+  result.buffer_drops = links.dropped_buffer;
+  result.flowlet_reroutes = links.flowlet_reroutes;
+  result.wcmp_weight_updates = links.wcmp_weight_updates;
 
   if (sender != nullptr && receiver != nullptr) {
     result.packets_sent = sender->packets_sent();

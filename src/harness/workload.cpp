@@ -76,20 +76,16 @@ WorkloadRunResult run_workload(const WorkloadRunSpec& spec) {
   for (std::uint32_t s = 0; s < fabric.shard_count(); ++s) {
     result.events_fired += fabric.ctx(s).sched.events_fired();
   }
-  for (const auto& link : dep.network().links()) {
-    const net::Link::Stats& ls = link->stats();
-    for (const net::Link::DirStats* ds : {&ls.ab, &ls.ba}) {
-      result.data_queue_drops +=
-          ds->dropped_queue_full - ds->dropped_queue_control;
-      result.ecn_marked += ds->ecn_marked_data + ds->ecn_marked_ctrl;
-      result.pause_tx += ds->pause_tx;
-      result.pause_rx += ds->pause_rx;
-      result.buffer_drops += ds->dropped_buffer;
-      result.ctrl_queue_drops += ds->dropped_queue_control;
-      result.flows.flowlet_reroutes += ds->flowlet_reroutes;
-      result.flows.wcmp_weight_updates += ds->wcmp_weight_updates;
-    }
-  }
+  const net::LinkDirStats links = link_totals(dep.network());
+  result.data_queue_drops =
+      links.dropped_queue_full - links.dropped_queue_control;
+  result.ecn_marked = links.ecn_marked();
+  result.pause_tx = links.pause_tx;
+  result.pause_rx = links.pause_rx;
+  result.buffer_drops = links.dropped_buffer;
+  result.ctrl_queue_drops = links.dropped_queue_control;
+  result.flows.flowlet_reroutes = links.flowlet_reroutes;
+  result.flows.wcmp_weight_updates = links.wcmp_weight_updates;
   for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
     const net::SwitchBuffer* sb = dep.router(d).switch_buffer();
     if (sb == nullptr || sb->params().pool_bytes == 0) continue;
