@@ -3,13 +3,13 @@
 // Every delivered frame bumps a handful of counters: the link's directional
 // delivery/drop stats and the two ports' traffic tallies. With thousands of
 // routers (64-PoD fabrics) those counters used to live inline in Link/Port
-// objects scattered across the heap, so the per-frame counter writes — and
-// the harness aggregation sweeps that read EVERY counter in the fabric —
-// walked pointer-chased allocations. The SimContext now owns one StatsArena
-// per shard; links and ports allocate their counter blocks from it at wiring
+// objects scattered across the heap, so the per-frame counter writes walked
+// pointer-chased allocations. The SimContext now owns one StatsArena per
+// shard; links and ports allocate their counter blocks from it at wiring
 // time and keep a stable pointer. Blocks are packed into fixed-size chunks
-// (contiguous, cache-resident, never reallocated), and the dense allocation
-// ids follow wiring order, so a whole-fabric sweep is a linear scan.
+// (contiguous, never reallocated) in wiring order. The arena only allocates:
+// whole-fabric sweeps (harness::link_totals, the reports) walk
+// Network::links() and read each link's block through that pointer.
 //
 // Per-shard ownership also means a sharded run's counter writes stay on the
 // owning thread's slab pages instead of false-sharing one global array.
@@ -97,44 +97,14 @@ struct LinkStats {
   [[nodiscard]] std::uint64_t delivered() const {
     return ab.delivered + ba.delivered;
   }
-  [[nodiscard]] std::uint64_t dropped_link_down() const {
-    return ab.dropped_link_down + ba.dropped_link_down;
-  }
   [[nodiscard]] std::uint64_t dropped_dst_down() const {
     return ab.dropped_dst_down + ba.dropped_dst_down;
-  }
-  [[nodiscard]] std::uint64_t dropped_impairment() const {
-    return ab.dropped_impairment + ba.dropped_impairment;
-  }
-  [[nodiscard]] std::uint64_t dropped_blackhole() const {
-    return ab.dropped_blackhole + ba.dropped_blackhole;
   }
   [[nodiscard]] std::uint64_t dropped_queue_full() const {
     return ab.dropped_queue_full + ba.dropped_queue_full;
   }
-  [[nodiscard]] std::uint64_t dropped_queue_control() const {
-    return ab.dropped_queue_control + ba.dropped_queue_control;
-  }
   [[nodiscard]] std::uint64_t duplicated() const {
     return ab.duplicated + ba.duplicated;
-  }
-  [[nodiscard]] std::uint64_t ecn_marked() const {
-    return ab.ecn_marked() + ba.ecn_marked();
-  }
-  [[nodiscard]] std::uint64_t pause_tx() const {
-    return ab.pause_tx + ba.pause_tx;
-  }
-  [[nodiscard]] std::uint64_t pause_rx() const {
-    return ab.pause_rx + ba.pause_rx;
-  }
-  [[nodiscard]] std::uint64_t dropped_buffer() const {
-    return ab.dropped_buffer + ba.dropped_buffer;
-  }
-  [[nodiscard]] std::uint64_t flowlet_reroutes() const {
-    return ab.flowlet_reroutes + ba.flowlet_reroutes;
-  }
-  [[nodiscard]] std::uint64_t wcmp_weight_updates() const {
-    return ab.wcmp_weight_updates + ba.wcmp_weight_updates;
   }
 };
 
@@ -188,8 +158,8 @@ struct SwitchBufferStats {
 };
 
 /// Chunked slab of T: stable addresses (chunks never move), contiguous
-/// storage within a chunk, dense ids in allocation order. alloc() is the
-/// only mutator; blocks live until the arena does (wiring is append-only).
+/// storage within a chunk, in allocation order. alloc() is the only
+/// accessor; blocks live until the arena does (wiring is append-only).
 template <typename T>
 class StatsSlab {
  public:
@@ -202,14 +172,6 @@ class StatsSlab {
     T& slot = chunks_[count_ / kChunk][count_ % kChunk];
     ++count_;
     return slot;
-  }
-
-  [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] T& operator[](std::size_t id) {
-    return chunks_[id / kChunk][id % kChunk];
-  }
-  [[nodiscard]] const T& operator[](std::size_t id) const {
-    return chunks_[id / kChunk][id % kChunk];
   }
 
  private:
@@ -225,17 +187,6 @@ class StatsArena {
   LinkStats& alloc_link() { return links_.alloc(); }
   SwitchBufferStats& alloc_buffer() { return buffers_.alloc(); }
   FlowletTable& alloc_flowlets() { return flowlets_.alloc(); }
-
-  [[nodiscard]] const StatsSlab<TrafficStats>& traffic() const {
-    return traffic_;
-  }
-  [[nodiscard]] const StatsSlab<LinkStats>& links() const { return links_; }
-  [[nodiscard]] const StatsSlab<SwitchBufferStats>& buffers() const {
-    return buffers_;
-  }
-  [[nodiscard]] const StatsSlab<FlowletTable>& flowlets() const {
-    return flowlets_;
-  }
 
  private:
   StatsSlab<TrafficStats> traffic_;
