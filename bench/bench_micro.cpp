@@ -4,6 +4,7 @@
 // counters), scheduler throughput, and full simulated-fabric event rates.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "bgp/message.hpp"
@@ -232,8 +233,9 @@ struct GapStream {
 
 /// Steady-state churn at a fixed population: fire the earliest event,
 /// schedule its replacement at now + gap. This is the fabric's hold pattern
-/// (N armed timers, one event firing at a time) at 1k/100k/1M pending: one
-/// O(log n) sift-down pop plus one sift-up insert per iteration.
+/// (N armed timers, one event firing at a time) at 1k/100k/1M pending, with
+/// random gaps: one pop plus one insert per iteration, so most pops re-deal
+/// a radix bucket.
 void BM_SchedulerChurn(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   sim::Scheduler sched;
@@ -254,8 +256,8 @@ BENCHMARK(BM_SchedulerChurn)
     ->Arg(1'000'000);
 
 /// Timer-rearm storm: every iteration pushes one armed timer further out,
-/// round-robin over the population — the keep-alive pattern that motivated
-/// in-place reschedule: each rearm sifts the event's heap entry down.
+/// round-robin over the population, with no event firing: each rearm moves
+/// the event's slot index from one radix bucket to another.
 void BM_SchedulerReschedule(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   sim::Scheduler sched;
@@ -280,6 +282,33 @@ BENCHMARK(BM_SchedulerReschedule)
     ->Arg(1'000)
     ->Arg(100'000)
     ->Arg(1'000'000);
+
+/// The fabric's keep-alive steady state: N ports whose 50 ms hello timers
+/// fire at the same instant; each fire delivers a frame 5.1 us later, and
+/// each delivery re-arms the port's 100 ms dead timer. One iteration fires
+/// one event, so a round is N hellos then N deliveries (N reschedules).
+void BM_SchedulerKeepaliveBurst(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Scheduler sched;
+  std::vector<std::unique_ptr<sim::Timer>> dead;
+  std::vector<std::unique_ptr<sim::Timer>> hello;
+  for (std::size_t i = 0; i < n; ++i) {
+    dead.push_back(std::make_unique<sim::Timer>(sched, [] {}));
+    dead.back()->start(sim::Duration::millis(100));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    sim::Timer* d = dead[i].get();
+    hello.push_back(std::make_unique<sim::Timer>(sched, [&sched, d] {
+      sched.schedule_after(sim::Duration::nanos(5'100), [d] { d->restart(); });
+    }));
+    hello.back()->start_periodic(sim::Duration::millis(50));
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(sched.step());
+  state.SetItemsProcessed(state.iterations());
+  state.counters["pending"] = static_cast<double>(sched.pending());
+  state.counters["reschedules"] = static_cast<double>(sched.reschedules());
+}
+BENCHMARK(BM_SchedulerKeepaliveBurst)->Arg(512)->Arg(2'048)->Arg(8'192);
 
 void BM_SchedulerThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -34,7 +34,8 @@ the prefixes (all entries when none is given), in table order. It runs each
 bench an entry reads once, as <fresh>/bench/<bench> inside <fresh>, prints
 each failing entry's id and why, and exits 1 if any entry failed. Fields:
   artifact  a BENCH_*.json written by the bench "benches" names for it (a
-            glob reads every match and runs nothing), or a
+            glob runs the bench of every "benches" name it matches, then
+            reads every match), or a
             bench/expected/X.csv pin, which must equal the CSV blocks
             bench_X prints (only the first with first_block_only).
   rows      dotted path to the artifact's row list or single row object
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import fnmatch
 import itertools
 import json
 import subprocess
@@ -257,10 +259,11 @@ def run_gates(prefixes, fresh):
         return 2
     outputs = {}  # bench -> its stdout, None when it failed to run
 
-    def bench_of(artifact):
+    def benches_of(artifact):
         if artifact.endswith(".csv"):
-            return "bench_" + Path(artifact).stem
-        return TABLE["benches"].get(artifact)
+            return ["bench_" + Path(artifact).stem]
+        return [bench for name, bench in TABLE["benches"].items()
+                if fnmatch.fnmatchcase(name, artifact)]
 
     def run(bench):
         binary = fresh.resolve() / "bench" / bench
@@ -275,14 +278,14 @@ def run_gates(prefixes, fresh):
         outputs[bench] = proc.stdout if proc.returncode == 0 else None
 
     def load(artifact):
-        bench = bench_of(artifact)
-        if bench is not None:
+        benches = benches_of(artifact)
+        for bench in benches:
             if bench not in outputs:
                 run(bench)
             if outputs[bench] is None:
                 return []
         if artifact.endswith(".csv"):
-            return [(artifact, outputs[bench])]
+            return [(artifact, outputs[benches[0]])]
         return [(p.name, json.loads(p.read_text()))
                 for p in sorted(fresh.glob(artifact))]
 
@@ -298,7 +301,8 @@ def run_gates(prefixes, fresh):
                 break
             print(f"  retry {attempt}/{attempts}: {entry['id']}: "
                   f"{problems[0]}; re-measuring")
-            run(bench_of(entry["artifact"]))
+            for bench in benches_of(entry["artifact"]):
+                run(bench)
         if problems:
             failed += 1
             print(f"FAIL {entry['id']}: {entry['why']}")

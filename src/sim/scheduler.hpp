@@ -1,20 +1,32 @@
 // Discrete-event scheduler.
 //
-// An indexed 4-ary min-heap orders events by (time, order key, insertion
-// sequence); plain events carry the maximal order key, so same-instant plain
-// events fire in insertion order and every run stays bit-reproducible. Keyed
-// events (schedule_at_ordered) let the sharded engine break same-instant ties
-// by a sharding-invariant key instead of by which scheduler happened to see
-// the insert first.
+// Events pop in (time, order key, insertion sequence) order; plain events
+// carry the maximal order key, so same-instant plain events fire in
+// insertion order and every run stays bit-reproducible. Keyed events
+// (schedule_at_ordered) let the sharded engine break same-instant ties by a
+// sharding-invariant key instead of by which scheduler happened to see the
+// insert first.
 //
-// Layout. Callbacks live in a slab of Slots (freelist-recycled, with a
-// generation counter so EventIds stay O(1) to validate); the heap holds one
-// {deadline, order, fifo, slot} entry per pending event, and every Slot
-// records its entry's heap position:
-//   * schedule is a sift-up, pop a sift-down: O(log n).
-//   * cancel removes the entry in place and reschedule moves it in place
-//     (sift up or down), keeping its insertion sequence: O(log n).
-//   * The heap holds exactly the pending events, so queue_size() ==
+// Layout: a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990)
+// over event times. The clock never runs backwards, so every pending time is
+// >= a settled `base_`, and an event sits in bucket bit_width(time ^ base_):
+// bucket 0 holds the events at `base_`, bucket b > 0 those whose time first
+// differs from `base_` at bit b - 1. Callbacks and keys live in a slab of
+// Slots (freelist-recycled, with a generation counter so EventIds stay O(1)
+// to validate); buckets hold slot indices, and every Slot records its index
+// in its bucket:
+//   * schedule and reschedule (which keeps the insertion sequence) append to
+//     a bucket, cancel swap-removes from one: O(1).
+//   * Bucket 0 is the current same-instant group, kept sorted by (order,
+//     insertion sequence) and popped front to back; an insert, reschedule or
+//     cancel there keeps it sorted. When it runs dry, a pop settles `base_`
+//     on the minimum of the lowest non-empty bucket and re-deals that bucket
+//     into strictly lower ones. An event moves down at most 63 times in its
+//     life, so a pop is O(1) amortized.
+//   * Only a pop settles. next_time() reads a per-bucket minimum and leaves
+//     `base_` alone, so an insert between now() and the next event stays
+//     legal after a peek or a run_until that stopped short.
+//   * The buckets hold exactly the pending events, so queue_size() ==
 //     pending() after every call and no stale entry ever needs discarding.
 #pragma once
 
@@ -82,56 +94,62 @@ class Scheduler {
   /// guard; returns false if the guard tripped).
   bool run(std::uint64_t max_events = UINT64_MAX);
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  /// Pending (scheduled, not yet fired or cancelled) events.
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
-  /// Heap entries; always equal to pending().
-  [[nodiscard]] std::size_t queue_size() const { return heap_.size(); }
+  [[nodiscard]] bool empty() const { return pending() == 0; }
+  /// Pending (scheduled, not yet fired or cancelled) events: every slot not
+  /// on the freelist.
+  [[nodiscard]] std::size_t pending() const {
+    return slots_.size() - free_.size();
+  }
+  /// Bucket entries; always equal to pending().
+  [[nodiscard]] std::size_t queue_size() const { return pending(); }
   [[nodiscard]] std::size_t queue_high_water() const {
     return queue_high_water_;
   }
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
   [[nodiscard]] std::uint64_t reschedules() const { return reschedules_; }
-  /// Always 0: the heap never rebuilds. Kept for readers of the counter.
+  /// Always 0: the queue never rebuilds. Kept for readers of the counter.
   [[nodiscard]] std::uint64_t compactions() const { return 0; }
 
  private:
   static constexpr std::uint32_t kNotQueued = UINT32_MAX;
+  /// Event times are in [0, 2^63), so time ^ base_ has at most 63 bits.
+  static constexpr int kBuckets = 64;
 
-  /// Slab cell: the callback of one scheduled event and its heap position.
-  /// `gen` advances on every free, invalidating outstanding EventIds in O(1).
-  struct Slot {
-    Callback fn;
+  /// Slab cell, cache-line aligned (exactly one line with libstdc++'s
+  /// 32-byte std::function): one scheduled event's keys, callback and index
+  /// in its bucket (the bucket is bit_width(at_ns ^ base_)). `gen` advances
+  /// on every free, invalidating outstanding EventIds in O(1).
+  struct alignas(64) Slot {
+    std::int64_t at_ns = 0;
+    std::uint64_t order = 0;
+    std::uint64_t fifo = 0;  // insertion sequence, preserved across reschedule
     std::uint32_t gen = 1;
     std::uint32_t pos = kNotQueued;
-  };
-
-  /// Heap entry for one pending event.
-  struct Entry {
-    std::int64_t at_ns;
-    std::uint64_t order;
-    std::uint64_t fifo;  // insertion sequence, preserved across reschedule
-    std::uint32_t slot;
-    /// Min-heap ordering: (time, order key, insertion sequence).
-    [[nodiscard]] bool before(const Entry& o) const {
-      if (at_ns != o.at_ns) return at_ns < o.at_ns;
-      if (order != o.order) return order < o.order;
-      return fifo < o.fifo;
-    }
+    Callback fn;
   };
 
   [[nodiscard]] Slot* slot_of(EventId id);
   void free_slot(std::uint32_t idx);
-  /// Stores `e` at heap index `i` and records the position in its slot.
-  void place(std::size_t i, const Entry& e);
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  /// Removes heap index `i`, refilling the hole from the back.
-  void remove_at(std::size_t i);
-  /// Pops the root, frees its slot, advances the clock and runs it.
-  void fire_root();
+  [[nodiscard]] int bucket_of(std::int64_t at_ns) const;
+  /// Same-instant order inside bucket 0: (order key, insertion sequence).
+  [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const;
+  /// Appends slot `idx` to bucket `b`, keeping the bucket's minimum.
+  void push(int b, std::uint32_t idx);
+  /// Files slot `idx` (keys already set) into its bucket.
+  void insert(std::uint32_t idx);
+  /// Takes slot `idx` out of its bucket.
+  void remove(std::uint32_t idx);
+  /// Exact minimum time held by non-empty bucket `b` > 0.
+  [[nodiscard]] std::int64_t min_of(int b) const;
+  /// Bucket 0 is empty: moves `base_` to the earliest pending time and
+  /// re-deals the lowest non-empty bucket, filling bucket 0.
+  void settle();
+  /// Pops the front of bucket 0, frees its slot, advances the clock and
+  /// runs it.
+  void fire_next();
 
   Time now_ = Time::zero();
+  std::int64_t base_ = 0;
   std::uint64_t next_fifo_ = 1;
   std::uint64_t fired_ = 0;
   std::uint64_t reschedules_ = 0;
@@ -139,7 +157,16 @@ class Scheduler {
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
-  std::vector<Entry> heap_;  // 4-ary: children of i are 4i+1 .. 4i+4
+  /// Slot indices per bucket. buckets_[0] is sorted from `head_` on; its
+  /// entries before `head_` have already fired.
+  std::vector<std::uint32_t> buckets_[kBuckets];
+  std::size_t head_ = 0;
+  /// Bit b set when bucket b > 0 is non-empty.
+  std::uint64_t nonempty_ = 0;
+  /// min_[b] is bucket b's minimum time unless bit b of `stale_` is set (its
+  /// minimum left the bucket); next_time() refreshes it on demand.
+  mutable std::int64_t min_[kBuckets] = {};
+  mutable std::uint64_t stale_ = 0;
 };
 
 /// Restartable timer built on Scheduler; the workhorse behind every

@@ -126,6 +126,7 @@ void TcpConnection::connect() {
   state_ = State::kSynSent;
   snd_una_ = kInitialSeq;
   snd_nxt_ = kInitialSeq + 1;
+  unsent_ = {};
   emit({.syn = true}, kInitialSeq, {}, net::TrafficClass::kTcpAck);
   arm_rto();
 }
@@ -161,6 +162,7 @@ void TcpConnection::handle_segment(const TcpSegment& seg, bool ce) {
         rcv_nxt_ = seg.seq + 1;
         snd_una_ = kInitialSeq;
         snd_nxt_ = kInitialSeq + 1;
+        unsent_ = {};
         state_ = State::kSynReceived;
         emit({.syn = true, .ack = true}, kInitialSeq, {},
              net::TrafficClass::kTcpAck);
@@ -248,7 +250,8 @@ void TcpConnection::handle_segment(const TcpSegment& seg, bool ce) {
       total_acked_ = 0;
       dctcp_window_end_ = snd_nxt_;
     }
-    // Release acknowledged bytes from the front of the send queue.
+    // Release acknowledged bytes from the front of the send queue. They
+    // all precede the unsent cursor, so it shifts with them.
     std::uint32_t to_drop = acked;
     while (to_drop > 0 && !send_queue_.empty()) {
       SendChunk& front = send_queue_.front();
@@ -256,8 +259,10 @@ void TcpConnection::handle_segment(const TcpSegment& seg, bool ce) {
       if (avail <= to_drop) {
         to_drop -= avail;
         send_queue_.pop_front();
+        --unsent_.index;
       } else {
         front.data = front.data.slice(to_drop);
+        if (unsent_.index == 0) unsent_.offset -= to_drop;
         to_drop = 0;
       }
     }
@@ -349,17 +354,9 @@ void TcpConnection::try_send_data() {
   // Bytes of the queue already in flight (sent but unacked).
   std::uint32_t in_flight = snd_nxt_ - snd_una_;
 
-  while (in_flight < cwnd_) {
-    // Locate the first unsent byte: position `in_flight` within the queue.
-    std::size_t index = 0;
-    std::size_t offset = in_flight;
-    while (index < send_queue_.size() &&
-           offset >= send_queue_[index].data.size()) {
-      offset -= send_queue_[index].data.size();
-      ++index;
-    }
-    if (index == send_queue_.size()) break;
-    auto [segment, tc] = queued_bytes(index, offset, tuning_.mss);
+  while (in_flight < cwnd_ && unsent_.index < send_queue_.size()) {
+    auto [segment, tc] =
+        queued_bytes(unsent_.index, unsent_.offset, tuning_.mss);
 
     // Piggyback any pending ACK.
     ack_pending_ = false;
@@ -368,6 +365,12 @@ void TcpConnection::try_send_data() {
     emit({.ack = true}, snd_nxt_, std::move(segment), tc);
     snd_nxt_ += seg_len;
     in_flight += seg_len;
+    unsent_.offset += seg_len;
+    while (unsent_.index < send_queue_.size() &&
+           unsent_.offset >= send_queue_[unsent_.index].data.size()) {
+      unsent_.offset -= send_queue_[unsent_.index].data.size();
+      ++unsent_.index;
+    }
   }
 
   if (snd_una_ != snd_nxt_ && !rto_timer_.running()) arm_rto();
@@ -396,7 +399,7 @@ void TcpConnection::retransmit() {
 
 void TcpConnection::resend_head() {
   // Resend one MSS starting at snd_una_ (go-back-N head), never past
-  // snd_nxt_.
+  // snd_nxt_. snd_nxt_, and so the unsent cursor, stay where they are.
   const std::size_t in_flight = snd_nxt_ - snd_una_;
   if (in_flight == 0 || send_queue_.empty()) return;
   auto [segment, tc] =

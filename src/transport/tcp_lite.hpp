@@ -210,6 +210,14 @@ class TcpConnection {
 
   /// Unacknowledged + unsent application data, in seq order from snd_una_.
   std::deque<SendChunk> send_queue_;
+  /// Where the first unsent byte (seq snd_nxt_) sits in send_queue_: chunk
+  /// `index`, `offset` bytes in, with offset < that chunk's size; index ==
+  /// send_queue_.size() when every queued byte is in flight.
+  struct Cursor {
+    std::size_t index = 0;
+    std::size_t offset = 0;
+  };
+  Cursor unsent_;
 
   sim::Timer rto_timer_;
   sim::Timer ack_timer_;

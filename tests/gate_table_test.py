@@ -86,6 +86,11 @@ class GateTableTest(unittest.TestCase):
                   for p in (REPO / "bench" / "expected").glob("*.csv")}
         self.assertEqual(pinned, {e["artifact"] for e in PINS})
 
+    def test_every_artifact_has_a_bench(self):
+        # --gate regenerates exactly the committed artifacts, so --fresh
+        # compares every one of them.
+        self.assertEqual(set(self.docs), set(bench_diff.TABLE["benches"]))
+
     def test_committed_artifacts_pass_every_gate(self):
         self.assertEqual(self.failing(), set())
 

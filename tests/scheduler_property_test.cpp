@@ -1,11 +1,11 @@
-// Randomized differential test: the heap Scheduler vs a tiny
+// Randomized differential test: the radix-heap Scheduler vs a tiny
 // obviously-correct reference model, driven with identical schedule /
 // schedule_at_ordered / reschedule / cancel / step / run_until sequences.
 // The sequences deliberately include same-deadline bursts (exercising the
 // (time, order, fifo) tie-break), far-future deadlines, reschedule churn in
 // both directions, operations on already-fired ids, and callbacks that
 // cancel or reschedule other pending events while they fire. Pop order must
-// match event for event, and the heap must hold exactly the pending events
+// match event for event, and the buckets must hold exactly the pending events
 // (queue_size() == pending()) after every operation.
 //
 // Runs plain, under ASan, and under TSan (see tests/CMakeLists.txt and
@@ -33,7 +33,7 @@ using sim::Scheduler;
 using sim::Time;
 
 /// Reference model: a flat map scanned for the minimum on every pop. O(n)
-/// per operation and transparently correct — the property the heap is
+/// per operation and transparently correct — the property the radix heap is
 /// checked against.
 class ReferenceScheduler {
  public:
@@ -120,7 +120,7 @@ std::optional<SideEffect> side_effect_of(std::uint64_t token,
 /// Drives both schedulers through one random fuzz run and asserts identical
 /// pop order, identical reschedule return values, and identical clocks. With
 /// `callbacks_mutate`, firing callbacks also cancel and reschedule other
-/// pending events, moving heap entries while the scheduler is mid-pop.
+/// pending events, moving bucket entries while the scheduler is mid-pop.
 void fuzz_run(std::uint64_t seed, int ops, bool callbacks_mutate = false) {
   Scheduler sched;
   ReferenceScheduler ref;
@@ -345,6 +345,137 @@ TEST(SchedulerProperty, FarFutureDeadlinesKeepOrder) {
   std::int64_t at_ns = 0;
   while (ref.pop(token, at_ns)) ref_fired.push_back(token);
   EXPECT_EQ(sched_fired, ref_fired);
+}
+
+// Targeted cases for the radix heap: each pins one way a monotone bucket
+// queue can pop out of (time, order, fifo) order.
+
+TEST(SchedulerProperty, InsertAfterRunUntilStopsShortOfNextEvent) {
+  // run_until fires the event at 100 and stops short of the one at 1000;
+  // only a pop may settle the queue on 1000, so an insert at 600 must still
+  // fire first.
+  Scheduler sched;
+  std::vector<int> fired;
+  sched.schedule_at(Time::from_ns(100), [&] { fired.push_back(100); });
+  sched.schedule_at(Time::from_ns(1000), [&] { fired.push_back(1000); });
+  sched.run_until(Time::from_ns(500));
+  EXPECT_EQ(fired, (std::vector<int>{100}));
+  EXPECT_EQ(sched.next_time(), Time::from_ns(1000));
+  sched.schedule_at(Time::from_ns(600), [&] { fired.push_back(600); });
+  EXPECT_EQ(sched.next_time(), Time::from_ns(600));
+  sched.run();
+  EXPECT_EQ(fired, (std::vector<int>{100, 600, 1000}));
+}
+
+TEST(SchedulerProperty, NextTimeThenEarlierInsert) {
+  // A peek leaves the clock and the queue alone: after next_time() reports
+  // 1000, inserts at 500 and at now() still come first.
+  Scheduler sched;
+  std::vector<int> fired;
+  sched.schedule_at(Time::from_ns(1000), [&] { fired.push_back(1000); });
+  ASSERT_EQ(sched.next_time(), Time::from_ns(1000));
+  sched.schedule_at(Time::from_ns(500), [&] { fired.push_back(500); });
+  ASSERT_EQ(sched.next_time(), Time::from_ns(500));
+  sched.schedule_at(Time::zero(), [&] { fired.push_back(0); });
+  ASSERT_EQ(sched.next_time(), Time::zero());
+  sched.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 500, 1000}));
+}
+
+TEST(SchedulerProperty, RescheduleIntoCurrentGroupKeepsOldFifo) {
+  // Four plain events share t = 1000. X, scheduled before all of them for
+  // t = 5000, is pulled back to now() by the group's first event: its older
+  // insertion sequence puts it ahead of the group's rest.
+  Scheduler sched;
+  std::vector<int> fired;
+  const Time t = Time::from_ns(1000);
+  EventId x = sched.schedule_at(Time::from_ns(5000), [&] { fired.push_back(9); });
+  sched.schedule_at(t, [&] {
+    fired.push_back(1);
+    EXPECT_TRUE(sched.reschedule(x, sched.now()));
+  });
+  for (int label = 2; label <= 4; ++label) {
+    sched.schedule_at(t, [&fired, label] { fired.push_back(label); });
+  }
+  sched.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 9, 2, 3, 4}));
+}
+
+TEST(SchedulerProperty, CancelInsideCurrentGroupKeepsOrder) {
+  // The group's first event cancels its second: the rest fire in insertion
+  // order, not with the last one moved into the hole.
+  Scheduler sched;
+  std::vector<int> fired;
+  const Time t = Time::from_ns(1000);
+  EventId second{};
+  sched.schedule_at(t, [&] {
+    fired.push_back(1);
+    sched.cancel(second);
+  });
+  second = sched.schedule_at(t, [&] { fired.push_back(2); });
+  for (int label = 3; label <= 6; ++label) {
+    sched.schedule_at(t, [&fired, label] { fired.push_back(label); });
+  }
+  sched.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 3, 4, 5, 6}));
+  EXPECT_TRUE(sched.empty());
+}
+
+TEST(SchedulerProperty, KeyedEventsReachGroupOutOfKeyOrder) {
+  // Keyed events for one instant arrive in descending key order, some by
+  // reschedule from other times, and settle into the group together: they
+  // fire in key order, then the plain ones in insertion order.
+  Scheduler sched;
+  std::vector<int> fired;
+  const Time t = Time::from_ns(1 << 20);
+  auto keyed = [&](Time at, std::uint64_t key) {
+    return sched.schedule_at_ordered(
+        at, key, [&fired, key] { fired.push_back(static_cast<int>(key)); });
+  };
+  sched.schedule_at(t, [&] { fired.push_back(100); });
+  keyed(t, 9);
+  EventId late = keyed(Time::from_ns(1 << 22), 5);
+  keyed(t, 7);
+  EventId early = keyed(Time::from_ns(1 << 10), 2);
+  sched.schedule_at(t, [&] { fired.push_back(101); });
+  keyed(t, 3);
+  ASSERT_TRUE(sched.reschedule(late, t));
+  ASSERT_TRUE(sched.reschedule(early, t));
+  sched.run();
+  EXPECT_EQ(fired, (std::vector<int>{2, 3, 5, 7, 9, 100, 101}));
+}
+
+TEST(SchedulerProperty, DeadlinesPast2To62Nanoseconds) {
+  // Times whose top bits differ from the clock's land in the highest
+  // buckets; they must still pop in order, ties included, up to the last
+  // representable instant.
+  Scheduler sched;
+  ReferenceScheduler ref;
+  std::vector<std::uint64_t> sched_fired;
+  std::vector<std::uint64_t> ref_fired;
+  constexpr std::int64_t k62 = std::int64_t{1} << 62;
+  const std::int64_t times[] = {INT64_MAX,     k62,           k62 + 1,
+                                INT64_MAX - 1, k62 + (1ll << 40), 7,
+                                INT64_MAX,     k62,           (1ll << 61) + 3};
+  std::uint64_t token = 0;
+  for (std::int64_t at : times) {
+    ++token;
+    const std::uint64_t key = token % 3 == 0 ? token : Scheduler::kUnordered;
+    sched.schedule_at_ordered(Time::from_ns(at), key, [&sched_fired, token] {
+      sched_fired.push_back(token);
+    });
+    ref.schedule(Time::from_ns(at), key, token);
+  }
+  sched.run_until(Time::from_ns(k62));
+  EXPECT_EQ(sched.now(), Time::from_ns(k62));
+  EXPECT_EQ(sched.pending(), 5u);
+  sched.run_until(Time::from_ns(INT64_MAX));
+  EXPECT_TRUE(sched.empty());
+  std::int64_t at_ns = 0;
+  while (ref.pop(token, at_ns)) ref_fired.push_back(token);
+  EXPECT_EQ(sched_fired, ref_fired);
+  EXPECT_EQ(sched_fired.front(), 6u);  // t = 7
+  EXPECT_EQ(sched_fired.back(), 7u);   // INT64_MAX, plain, inserted last
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // and the 85-byte BGP-keepalive frame arithmetic the paper reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "net/network.hpp"
 #include "transport/l3_node.hpp"
 
@@ -304,6 +307,124 @@ TEST(TcpLiteTest, DestroyRemovesConnection) {
   ch.a_.tcp().destroy(conn);
   ch.ctx_.sched.run();
   EXPECT_EQ(ch.a_.tcp().connection_count(), 0u);
+}
+
+/// An IpSender that records every data segment a connection emits, as
+/// (sequence number, payload length), and checks each payload against the
+/// stream it should carry.
+class SegmentLog : public IpSender {
+ public:
+  explicit SegmentLog(const std::vector<std::uint8_t>& stream, std::uint32_t isn)
+      : stream_(stream), isn_(isn) {}
+
+  void send_ip(ip::Ipv4Addr /*src*/, ip::Ipv4Addr /*dst*/,
+               ip::IpProto /*proto*/, net::Buffer payload,
+               net::TrafficClass /*traffic_class*/) override {
+    TcpSegment seg = TcpSegment::parse(payload);
+    if (seg.payload.empty()) return;
+    const std::size_t at = seg.seq - isn_;
+    ASSERT_LE(at + seg.payload.size(), stream_.size());
+    EXPECT_TRUE(std::equal(seg.payload.span().begin(), seg.payload.span().end(),
+                           stream_.begin() + static_cast<std::ptrdiff_t>(at)))
+        << "segment at seq " << seg.seq << " carries the wrong bytes";
+    sent_.emplace_back(seg.seq, seg.payload.size());
+  }
+  net::SimContext& sim() override { return ctx; }
+  [[nodiscard]] std::string endpoint_name() const override { return "log"; }
+
+  /// Segments sent since the last call.
+  std::vector<std::pair<std::uint32_t, std::size_t>> take() {
+    return std::exchange(sent_, {});
+  }
+
+  net::SimContext ctx{1};
+
+ private:
+  const std::vector<std::uint8_t>& stream_;
+  std::uint32_t isn_;
+  std::vector<std::pair<std::uint32_t, std::size_t>> sent_;
+};
+
+// A long send queue of uneven messages, some longer than a window, drained
+// through partial ACKs that end mid-segment and mid-message, a fast
+// retransmit with a partial ACK in recovery, and an RTO: every segment starts
+// at the first unsent (or, for a retransmit, the first unacked) byte and
+// carries exactly the queued bytes there. The expected segments are those of
+// a sender that walks the queue from its head for every segment.
+TEST(TcpLiteTest, SendCursorFollowsAcksAndRetransmits) {
+  std::vector<std::uint8_t> stream;
+  std::vector<std::size_t> sizes;
+  for (std::size_t i = 0; i < 40; ++i) {
+    sizes.push_back(i % 8 == 5 ? 1500 : 10 + (i * 37) % 90);
+  }
+  for (std::size_t n : sizes) {
+    for (std::size_t j = 0; j < n; ++j) {
+      stream.push_back(static_cast<std::uint8_t>(stream.size() * 7 + 3));
+    }
+  }
+  constexpr std::uint32_t kFirst = 1001;  // the byte after our SYN
+  SegmentLog log(stream, kFirst);
+  TcpStack stack(log);
+  TcpConnection& conn = stack.connect(
+      kAddrA, 20000, kAddrB, 179, {},
+      TcpTuning{.rto = sim::Duration::seconds(1),
+                .mss = 100,
+                .rto_jitter = 0.0,
+                .init_cwnd_segments = 4,
+                .ecn_enabled = false});
+  // Queue everything during the handshake, so the first flight gathers
+  // segments across message boundaries.
+  auto next = stream.begin();
+  for (std::size_t n : sizes) {
+    auto end = next + static_cast<std::ptrdiff_t>(n);
+    conn.send(std::vector<std::uint8_t>(next, end),
+              net::TrafficClass::kBgpUpdate);
+    next = end;
+  }
+  auto reply = [&conn](std::uint32_t ack, bool syn = false) {
+    TcpSegment seg;
+    seg.seq = syn ? 5000 : 5001;
+    seg.ack = ack;
+    seg.flags = {.syn = syn, .ack = true};
+    conn.handle_segment(seg);
+  };
+  using Sent = std::vector<std::pair<std::uint32_t, std::size_t>>;
+  reply(kFirst, /*syn=*/true);  // a four-segment window
+  EXPECT_EQ(log.take(),
+            (Sent{{1001, 100}, {1101, 100}, {1201, 100}, {1301, 100}}));
+  reply(kFirst + 150);  // mid-segment, mid-message
+  EXPECT_EQ(log.take(), (Sent{{1401, 100}, {1501, 100}}));
+  reply(kFirst + 400);
+  EXPECT_EQ(log.take(), (Sent{{1601, 100}, {1701, 100}, {1801, 100}}));
+  for (int i = 0; i < 3; ++i) reply(kFirst + 400);  // fast retransmit
+  EXPECT_EQ(log.take(), (Sent{{1401, 100}}));
+  reply(kFirst + 450);  // a partial ACK in recovery resends the new head
+  EXPECT_EQ(log.take(), (Sent{{1451, 100}}));
+  log.ctx.sched.run_until(log.ctx.sched.now() + sim::Duration::seconds(2));
+  EXPECT_EQ(log.take(), (Sent{{1451, 100}}));  // the RTO resends it once
+  // Then acknowledge 130 bytes at a time, never on a segment boundary,
+  // until the stream is drained.
+  const auto end_seq = static_cast<std::uint32_t>(kFirst + stream.size());
+  std::uint32_t top = kFirst + 900;  // snd_nxt after the first flights
+  Sent rest;
+  for (std::uint32_t acked = kFirst + 450; acked < end_seq;) {
+    ASSERT_LT(acked, top) << "the sender stalled";
+    acked = std::min(acked + 130, top);
+    reply(acked);
+    for (auto [seq, len] : log.take()) {
+      rest.emplace_back(seq, len);
+      top = std::max(top, seq + static_cast<std::uint32_t>(len));
+    }
+  }
+  // Recovery resends of the head (1581, 1711, 1841) interleave with new
+  // data from where the first flights stopped; then full segments run to
+  // the end of the stream.
+  Sent want{{1581, 100}, {1711, 100}, {1901, 100}, {1841, 100}};
+  for (std::uint32_t seq = 2001; seq < end_seq; seq += 100) {
+    want.emplace_back(seq, std::min<std::uint32_t>(100, end_seq - seq));
+  }
+  EXPECT_EQ(rest, want);
+  EXPECT_EQ(top, end_seq);
 }
 
 // Property: the byte stream is delivered completely and in order across
