@@ -4,8 +4,9 @@
 // increases".
 //
 // Besides the paper metrics, the sweep doubles as the event-core scalability
-// gate: it records simulator throughput (events/sec) and the scheduler's
-// queue high-water mark (peak pending events) at each size, and writes
+// gate: it records simulator throughput (events/sec and ns/event, from the
+// median of each point's six runs) and the scheduler's queue high-water
+// mark (peak pending events) at each size, and writes
 // everything to BENCH_scalability.json so the perf trajectory is
 // machine-tracked.
 #include <algorithm>
@@ -62,7 +63,11 @@ int main(int argc, char** argv) {
       auto tc1 = harness::run_averaged(spec, seeds);
       spec.tc = topo::TestCase::kTC2;
       auto tc2 = harness::run_averaged(spec, seeds);
-      double events_per_sec = (tc1.events_per_sec + tc2.events_per_sec) / 2;
+      // Host timing: the median of the point's six runs (3 seeds x TC1/TC2),
+      // so one run slowed by the host does not move the point.
+      harness::Distribution eps = tc1.events_per_sec_dist;
+      eps.merge(tc2.events_per_sec_dist);
+      const double events_per_sec = eps.median();
       double queue_hw = std::max(tc1.queue_high_water, tc2.queue_high_water);
       table.add_row({name, std::to_string(params.router_count()),
                      std::string(to_string(proto)),
@@ -83,6 +88,7 @@ int main(int argc, char** argv) {
       point["blast_tc1_any"] = tc1.blast_any;
       point["loss_tc2_pkts"] = tc2.packets_lost;
       point["events_per_sec"] = events_per_sec;
+      point["ns_per_event"] = events_per_sec > 0 ? 1e9 / events_per_sec : 0.0;
       point["queue_high_water"] = queue_hw;
       point["allocs_avoided"] = tc1.allocs_avoided;
       point["cache_hit_rate"] = tc1.cache_hit_rate;

@@ -331,8 +331,9 @@ AveragedResult run_averaged(ExperimentSpec spec,
     avg.audit_violations += static_cast<double>(r.audit_violations);
     avg.final_violations += static_cast<double>(r.final_sweep_violations);
     if (r.wall_seconds > 0) {
-      avg.events_per_sec +=
-          static_cast<double>(r.events_fired) / r.wall_seconds;
+      const double eps = static_cast<double>(r.events_fired) / r.wall_seconds;
+      avg.events_per_sec += eps;
+      avg.events_per_sec_dist.add(eps);
     }
     avg.queue_high_water = std::max(
         avg.queue_high_water, static_cast<double>(r.queue_high_water));

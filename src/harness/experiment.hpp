@@ -210,6 +210,9 @@ struct AveragedResult {
   Distribution loss_dist;
   Distribution ctrl_bytes_dist;
   Distribution detection_dist;
+  /// Events/sec of each run that measured its wall time; host timing, so
+  /// one slow run can skew `events_per_sec` but hardly its median.
+  Distribution events_per_sec_dist;
 };
 
 [[nodiscard]] AveragedResult run_averaged(ExperimentSpec spec,

@@ -1,6 +1,7 @@
-// Small online-statistics accumulator for seed-averaged experiment results
-// (mean, standard deviation, min, max via Welford's algorithm) — the error
-// bars behind the paper's "averaged over multiple runs" plots.
+// Small statistics accumulator for seed-averaged experiment results (mean,
+// standard deviation, min, max via Welford's algorithm, plus the median of
+// the kept samples) — the error bars behind the paper's "averaged over
+// multiple runs" plots.
 #pragma once
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 namespace mrmtp::harness {
 
@@ -20,6 +22,11 @@ class Distribution {
     m2_ += delta * (value - mean_);
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
+    values_.push_back(value);
+  }
+  /// Adds every sample of `other`.
+  void merge(const Distribution& other) {
+    for (double v : other.values_) add(v);
   }
 
   [[nodiscard]] std::uint64_t count() const { return n_; }
@@ -30,6 +37,9 @@ class Distribution {
   }
   [[nodiscard]] double min() const { return n_ == 0 ? 0.0 : min_; }
   [[nodiscard]] double max() const { return n_ == 0 ? 0.0 : max_; }
+  /// Middle sample, or the mean of the two middle ones for an even count;
+  /// 0 when empty. Unlike the mean, one outlier run cannot move it far.
+  [[nodiscard]] double median() const;
 
   /// "12.3 ±1.2" rendering for tables.
   [[nodiscard]] std::string str(int decimals = 1) const;
@@ -40,6 +50,7 @@ class Distribution {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
+  std::vector<double> values_;
 };
 
 }  // namespace mrmtp::harness

@@ -1,5 +1,8 @@
 #include "mtp/message.hpp"
 
+#include <array>
+#include <cstring>
+
 namespace mrmtp::mtp {
 
 std::string_view to_string(MsgType t) {
@@ -25,11 +28,18 @@ void write_vids(Writer& w, const std::vector<Vid>& vids) {
   for (const Vid& v : vids) v.serialize(w);
 }
 
-/// Replaces `out` with the list; a vector reused across frames keeps its
-/// capacity, so decoding into it stops allocating.
-void read_vids(util::BufReader& r, std::vector<Vid>& out) {
-  out.resize(r.u8());
-  for (Vid& v : out) v = Vid::deserialize(r);
+/// An owning copy of a validated list, for the messages decode() returns.
+std::vector<Vid> to_vector(const VidListView& list) {
+  std::vector<Vid> out;
+  out.reserve(list.size());
+  for (const Vid v : list) out.push_back(v);
+  return out;
+}
+
+/// A VID list is the last field of every message that carries one, so it
+/// is read from the rest of the payload.
+std::vector<Vid> read_vids(util::BufReader& r) {
+  return to_vector(VidListView::parse(r.rest()));
 }
 
 template <typename Writer>
@@ -49,13 +59,38 @@ std::vector<std::uint16_t> read_roots(util::BufReader& r) {
 /// Type, tier and seq: the ADVERTISE bytes in front of the VID list.
 constexpr std::size_t kAdvertiseHeader = 6;
 
-void read_advertise(util::BufReader& r, AdvertiseMsg& out) {
+AdvertiseView read_advertise(util::BufReader& r) {
+  AdvertiseView out;
   out.tier = r.u8();
   out.seq = r.u32();
-  read_vids(r, out.vids);
+  out.vids = VidListView::parse(r.rest());
+  return out;
 }
 
 }  // namespace
+
+VidListView VidListView::parse(std::span<const std::uint8_t> wire) {
+  util::BufReader r(wire);
+  const std::size_t count = r.u8();
+  for (std::size_t i = 0; i < count; ++i) Vid::skip_wire(r);
+  return VidListView(wire.subspan(1, r.position() - 1), count);
+}
+
+bool VidListView::contains(const Vid& vid) const {
+  std::array<std::uint8_t, 2 * Vid::kMaxDepth> labels{};
+  for (std::size_t i = 0; i < vid.depth(); ++i) {
+    labels[2 * i] = static_cast<std::uint8_t>(vid.label(i) >> 8);
+    labels[2 * i + 1] = static_cast<std::uint8_t>(vid.label(i) & 0xff);
+  }
+  const std::uint8_t* at = vids_.data();
+  const std::uint8_t* const end = at + vids_.size();
+  for (; at != end; at += 1 + 2 * std::size_t{*at}) {
+    if (*at == vid.depth() && std::memcmp(at + 1, labels.data(), 2 * *at) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
 
 std::uint8_t list_count(std::size_t entries) {
   if (entries > kMaxListEntries) {
@@ -140,19 +175,15 @@ MtpMessage decode(net::Buffer payload) {
     case MsgType::kHello:
       return HelloMsg{};
     case MsgType::kAdvertise: {
-      AdvertiseMsg m;
-      read_advertise(r, m);
-      return m;
+      const AdvertiseView view = read_advertise(r);
+      return AdvertiseMsg{view.tier, view.seq, to_vector(view.vids)};
     }
-    case MsgType::kJoinRequest: {
-      JoinRequestMsg m;
-      read_vids(r, m.vids);
-      return m;
-    }
+    case MsgType::kJoinRequest:
+      return JoinRequestMsg{read_vids(r)};
     case MsgType::kJoinOffer: {
       JoinOfferMsg m;
       m.msg_id = r.u16();
-      read_vids(r, m.vids);
+      m.vids = read_vids(r);
       return m;
     }
     case MsgType::kCtrlAck: {
@@ -163,7 +194,7 @@ MtpMessage decode(net::Buffer payload) {
     case MsgType::kVidWithdraw: {
       VidWithdrawMsg m;
       m.msg_id = r.u16();
-      read_vids(r, m.vids);
+      m.vids = read_vids(r);
       return m;
     }
     case MsgType::kDestUnreach: {
@@ -202,13 +233,12 @@ net::Buffer encode_advertise(std::uint8_t tier, std::uint32_t seq,
   return w.take();
 }
 
-void decode_advertise(std::span<const std::uint8_t> payload,
-                      AdvertiseMsg& out) {
+AdvertiseView decode_advertise(std::span<const std::uint8_t> payload) {
   util::BufReader r(payload);
   if (static_cast<MsgType>(r.u8()) != MsgType::kAdvertise) {
     throw util::CodecError("MTP: not an ADVERTISE");
   }
-  read_advertise(r, out);
+  return read_advertise(r);
 }
 
 }  // namespace mrmtp::mtp

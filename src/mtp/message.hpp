@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <variant>
 #include <vector>
@@ -50,6 +51,75 @@ struct AdvertiseMsg {
   /// seq 0 (hand-crafted frames) is always accepted.
   std::uint32_t seq = 0;
   std::vector<Vid> vids;
+};
+
+/// A wire VID list read in place: the count byte, then each VID as
+/// Vid::serialize writes it. parse() validates the whole list in one pass;
+/// iteration then decodes each VID by value straight from the bytes, with no
+/// further check. Non-owning: whoever reads through the view keeps the bytes
+/// alive (a router holds the frame's slab while it handles the message).
+class VidListView {
+ public:
+  class Iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;  // yields by value
+    using value_type = Vid;
+    using difference_type = std::ptrdiff_t;
+    using reference = Vid;
+    using pointer = void;
+
+    Iterator() = default;
+    explicit Iterator(const std::uint8_t* at) : at_(at) {}
+    Vid operator*() const { return Vid::from_wire(at_); }
+    /// The current VID's root, read without decoding the rest of it.
+    [[nodiscard]] std::uint16_t root() const {
+      return static_cast<std::uint16_t>((at_[1] << 8) | at_[2]);
+    }
+    Iterator& operator++() {
+      at_ += 1 + 2 * std::size_t{*at_};
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++*this;
+      return before;
+    }
+    friend bool operator==(Iterator, Iterator) = default;
+
+   private:
+    const std::uint8_t* at_ = nullptr;  // the current VID's count byte
+  };
+
+  VidListView() = default;
+  /// Validates the list at the front of `wire` (bytes after it are not
+  /// read): the count byte, then every VID with 1..Vid::kMaxDepth labels and
+  /// all its bytes in bounds. Throws util::CodecError otherwise.
+  static VidListView parse(std::span<const std::uint8_t> wire);
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] Iterator begin() const { return Iterator(vids_.data()); }
+  [[nodiscard]] Iterator end() const {
+    return Iterator(vids_.data() + vids_.size());
+  }
+  /// True if the list carries `vid`; compares wire bytes, decodes nothing.
+  [[nodiscard]] bool contains(const Vid& vid) const;
+
+ private:
+  VidListView(std::span<const std::uint8_t> vids, std::size_t size)
+      : vids_(vids), size_(size) {}
+
+  std::span<const std::uint8_t> vids_;  // the VIDs, count byte excluded
+  std::size_t size_ = 0;
+};
+
+/// A received ADVERTISE read in place (see VidListView): what a router
+/// handles, so no statement is copied out of its frame.
+struct AdvertiseView {
+  std::uint8_t tier = 0;
+  std::uint32_t seq = 0;
+  VidListView vids;
 };
 
 /// Upstream device asks to join the advertised trees (listing the
@@ -133,12 +203,11 @@ constexpr std::size_t kMaxListEntries = 255;
 /// encodes, so a sender can encode its table once and reuse it.
 [[nodiscard]] net::Buffer encode_advertise(std::uint8_t tier, std::uint32_t seq,
                                            std::span<const std::uint8_t> vid_list);
-/// Decodes an ADVERTISE payload into `out`, reusing the capacity of
-/// `out.vids`: a receiver that keeps one AdvertiseMsg decodes every
-/// statement without allocating once it has seen the longest. decode() goes
-/// through this routine too. Throws util::CodecError on a malformed payload
-/// or one of another type.
-void decode_advertise(std::span<const std::uint8_t> payload, AdvertiseMsg& out);
+/// Validates an ADVERTISE payload and views it in place: the result reads
+/// `payload`'s bytes, so it is valid only while they are. Throws
+/// util::CodecError on a malformed payload or one of another type. decode()
+/// reads every VID list through the same validator (VidListView::parse).
+[[nodiscard]] AdvertiseView decode_advertise(std::span<const std::uint8_t> payload);
 
 [[nodiscard]] MsgType type_of(const MtpMessage& msg);
 

@@ -194,21 +194,31 @@ void MtpRouter::handle_frame(net::Port& in, net::Frame frame) {
   }
   if (frame.ethertype != net::EtherType::kMtp) return;
 
-  // An ADVERTISE carries the sender's whole table and is most of bring-up's
-  // traffic: decode it into storage reused across frames. Like
-  // decode(std::move(payload)) below, release the frame's slab before
-  // handling, so replies draw on the pool without it.
-  if (!frame.payload.empty() &&
-      frame.payload[0] == static_cast<std::uint8_t>(MsgType::kAdvertise)) {
-    try {
-      decode_advertise(frame.payload, adv_rx_);
-    } catch (const util::CodecError&) {
-      return;
+  // HELLO and ADVERTISE are nearly all of the control traffic, and
+  // ADVERTISE carries the sender's whole table: both are read straight from
+  // the frame's bytes, with no MtpMessage built. A HELLO's slab is released
+  // before note_rx, as decode(std::move(payload)) below releases every other
+  // message's; an ADVERTISE's stays held until its handler returns.
+  if (!frame.payload.empty()) {
+    switch (static_cast<MsgType>(frame.payload[0])) {
+      case MsgType::kHello:
+        frame.payload = net::Buffer{};
+        note_rx(in);
+        return;
+      case MsgType::kAdvertise: {
+        AdvertiseView adv;
+        try {
+          adv = decode_advertise(frame.payload);
+        } catch (const util::CodecError&) {
+          return;
+        }
+        note_rx(in);
+        if (s.alive) handle_advertise(in.number(), adv);
+        return;
+      }
+      default:
+        break;
     }
-    frame.payload = net::Buffer{};
-    note_rx(in);
-    if (s.alive) handle_advertise(in.number(), adv_rx_);
-    return;
   }
 
   MtpMessage msg;
@@ -228,16 +238,15 @@ void MtpRouter::handle_msg(net::Port& in, MtpMessage& msg) {
   std::visit(
       [&](auto& m) {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, HelloMsg>) {
-          // Liveness already recorded by note_rx.
+        if constexpr (std::is_same_v<T, HelloMsg> ||
+                      std::is_same_v<T, AdvertiseMsg>) {
+          // Never reached: handle_frame reads both from the frame bytes.
         } else if constexpr (std::is_same_v<T, CtrlAckMsg>) {
           outstanding_.erase(m.msg_id);
         } else if constexpr (std::is_same_v<T, DataMsg>) {
           // Move the payload through: its slab stays uniquely owned, so the
           // re-encapsulation on the far port prepends in place.
           forward_data(std::move(m), p);
-        } else if constexpr (std::is_same_v<T, AdvertiseMsg>) {
-          // Never reached: handle_frame decodes ADVERTISEs in place.
         } else if constexpr (std::is_same_v<T, JoinRequestMsg>) {
           if (alive) handle_join_request(p, m);
         } else if constexpr (std::is_same_v<T, JoinOfferMsg>) {
@@ -419,7 +428,11 @@ void MtpRouter::send_hello_if_idle(std::uint32_t p) {
     send_advertise(p);
     return;
   }
-  send_msg(p, HelloMsg{});
+  net::Port& out = port(p);
+  if (!out.connected() || !out.admin_up()) return;
+  net::BufferWriter hello(1);
+  hello.u8(static_cast<std::uint8_t>(MsgType::kHello));
+  send_payload(out, MsgType::kHello, hello.take());
 }
 
 bool MtpRouter::fully_assigned(std::uint32_t p) const {
@@ -478,25 +491,39 @@ std::span<const std::uint8_t> MtpRouter::advertise_body() {
   return adv_body_.data();
 }
 
-const std::vector<std::uint16_t>& MtpRouter::roots_of(
-    const std::vector<Vid>& vids) {
-  root_scratch_.clear();
-  if (vids.empty()) return root_scratch_;
-  std::uint16_t lo = vids.front().root();
-  std::uint16_t hi = lo;
-  for (const Vid& v : vids) {
-    const std::uint16_t root = v.root();
+bool MtpRouter::store_advertised_roots(PortState& s, const VidListView& vids) {
+  std::vector<std::uint16_t>& roots = s.advertised_roots;
+  std::uint16_t lo = 0xffff;
+  std::uint16_t hi = 0;
+  for (auto it = vids.begin(); it != vids.end(); ++it) {
+    const std::uint16_t root = it.root();
     if (root >= root_marks_.size()) root_marks_.resize(root + std::size_t{1});
     root_marks_[root] = 1;
     lo = std::min(lo, root);
     hi = std::max(hi, root);
   }
+  // The marked range in order is the new set: compare it with the stored
+  // roots and, from the first difference on, overwrite them.
+  bool changed = false;
+  std::size_t kept = 0;
   for (std::size_t root = lo; root <= hi; ++root) {
     if (root_marks_[root] == 0) continue;
     root_marks_[root] = 0;
-    root_scratch_.push_back(static_cast<std::uint16_t>(root));
+    if (!changed) {
+      if (kept < roots.size() && roots[kept] == root) {
+        ++kept;
+        continue;
+      }
+      roots.resize(kept);
+      changed = true;
+    }
+    roots.push_back(static_cast<std::uint16_t>(root));
   }
-  return root_scratch_;
+  if (!changed && kept != roots.size()) {
+    roots.resize(kept);
+    changed = true;
+  }
+  return changed;
 }
 
 bool MtpRouter::offer_pending(std::uint32_t p, const Vid& child) const {
@@ -512,7 +539,7 @@ bool MtpRouter::offer_pending(std::uint32_t p, const Vid& child) const {
   return false;
 }
 
-void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseMsg& msg) {
+void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseView& msg) {
   PortState& s = pstate(p);
   // Links can duplicate a frame and deliver the copy late — after newer
   // statements (and even after join handshakes the original triggered). A
@@ -530,11 +557,7 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseMsg& msg) {
     // An upstream's advertisement is a full statement of the trees it
     // holds: remember the roots so the uplink load balancer can steer tree
     // traffic toward uplinks that can actually deliver it.
-    const std::vector<std::uint16_t>& roots = roots_of(msg.vids);
-    if (roots != s.advertised_roots) {
-      s.advertised_roots = roots;
-      invalidate_up_cache();
-    }
+    if (store_advertised_roots(s, msg.vids)) invalidate_up_cache();
     // Any child VID we once assigned on this port that it no longer lists
     // was pruned on its side — e.g. a one-way gray episode starved the
     // upstream into declaring us dead while we kept seeing its frames and
@@ -547,9 +570,7 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseMsg& msg) {
     if (msg.tier > config_.tier) {
       for (auto it = s.assigned.begin(); it != s.assigned.end();) {
         const bool held =
-            std::find(msg.vids.begin(), msg.vids.end(), it->first) !=
-                msg.vids.end() ||
-            offer_pending(p, it->first);
+            msg.vids.contains(it->first) || offer_pending(p, it->first);
         it = held ? std::next(it) : s.assigned.erase(it);
       }
     }
@@ -560,7 +581,7 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseMsg& msg) {
   if (draining_) return;
 
   bool added = false;
-  for (const Vid& base : msg.vids) {
+  for (const Vid base : msg.vids) {
     bool already_joined = false;
     bool duplicate_root = false;
     // Both checks only concern entries of this tree. A root's bucket keeps

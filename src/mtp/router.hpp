@@ -256,12 +256,14 @@ class MtpRouter : public net::Node {
   void send_advertise(std::uint32_t port);
   /// The encoded VID list of our statement (see adv_body_).
   [[nodiscard]] std::span<const std::uint8_t> advertise_body();
-  void handle_advertise(std::uint32_t port, const AdvertiseMsg& msg);
-  /// The roots of `vids`, sorted and unique, in storage reused across
-  /// calls. Roots are ToR VIDs, small dense integers, so a mark per root
-  /// value and one pass over the marked range order them without a sort.
-  [[nodiscard]] const std::vector<std::uint16_t>& roots_of(
-      const std::vector<Vid>& vids);
+  /// Reads the statement in place: `msg` views the received frame's bytes,
+  /// which handle_frame holds until this returns.
+  void handle_advertise(std::uint32_t port, const AdvertiseView& msg);
+  /// Sets `s.advertised_roots` to the roots of `vids`, sorted and unique;
+  /// returns whether they changed. Roots are ToR VIDs, small dense
+  /// integers, so a mark per root value and one pass over the marked range
+  /// order them without a sort or a copy of the list.
+  bool store_advertised_roots(PortState& s, const VidListView& vids);
   /// True when an unacked JOIN_OFFER on `port` names `child`.
   [[nodiscard]] bool offer_pending(std::uint32_t port, const Vid& child) const;
   void handle_join_request(std::uint32_t port, const JoinRequestMsg& msg);
@@ -346,12 +348,7 @@ class MtpRouter : public net::Node {
   /// instead of re-encoding the table.
   util::BufWriter adv_body_;
   std::optional<std::pair<std::uint64_t, bool>> adv_body_key_;
-  /// Decode target for received ADVERTISEs, reused across frames: once it
-  /// holds the longest statement seen, decoding allocates nothing.
-  AdvertiseMsg adv_rx_;
-  /// roots_of storage: the result, and a mark per root value (all clear
-  /// between calls).
-  std::vector<std::uint16_t> root_scratch_;
+  /// store_advertised_roots' mark per root value (all clear between calls).
   std::vector<std::uint8_t> root_marks_;
   /// Eligible-uplink sets as a dense epoch-validated slab indexed by
   /// destination root (lazy, see eligible_up_ports); mutable because

@@ -85,20 +85,25 @@ class Vid {
     w.u8(depth_);
     for (std::uint16_t label : labels()) w.u16(label);
   }
-  /// Throws util::CodecError on zero or more than kMaxDepth labels. Inline
-  /// with one bounds check per VID: an ADVERTISE decodes its whole VID list
-  /// through here.
-  static Vid deserialize(util::BufReader& r) {
+  /// Moves `r` past one wire VID: throws util::CodecError on zero or more
+  /// than kMaxDepth labels, or on labels past the end of `r`. This is the
+  /// wire check; a VID list is validated through it once (see
+  /// mtp::VidListView) and then read in place with from_wire.
+  static void skip_wire(util::BufReader& r) {
     const std::uint8_t count = r.u8();
     if (count == 0) throw util::CodecError("VID: zero labels");
     check_depth(count);
-    const std::span<const std::uint8_t> wire = r.bytes(2 * std::size_t{count});
+    r.skip(2 * std::size_t{count});
+  }
+  /// Decodes the wire VID at `wire` (its count byte), which skip_wire has
+  /// already accepted: no checks.
+  static Vid from_wire(const std::uint8_t* wire) {
     Vid out;
-    for (std::size_t i = 0; i < count; ++i) {
+    out.depth_ = wire[0];
+    for (std::size_t i = 0; i < out.depth_; ++i) {
       out.labels_[i] =
-          static_cast<std::uint16_t>((wire[2 * i] << 8) | wire[2 * i + 1]);
+          static_cast<std::uint16_t>((wire[1 + 2 * i] << 8) | wire[2 + 2 * i]);
     }
-    out.depth_ = count;
     return out;
   }
   [[nodiscard]] std::size_t wire_size() const { return 1 + 2 * std::size_t{depth_}; }

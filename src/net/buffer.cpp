@@ -40,6 +40,13 @@ void unpoison_region(std::uint8_t* p, std::size_t n) {
 
 }  // namespace
 
+BufferPool::BufferPool() {
+  // Full-size freelists from the start: returning a slab never allocates,
+  // so whether a handler allocates does not depend on how many slabs other
+  // frames happen to hold at that moment.
+  for (auto& list : free_) list.reserve(kMaxFreePerClass);
+}
+
 BufferPool& BufferPool::instance() {
   static thread_local BufferPool pool;
   return pool;

@@ -84,7 +84,7 @@ class BufferPool {
     }
   };
 
-  BufferPool() = default;
+  BufferPool();
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 

@@ -239,6 +239,20 @@ TEST(DistributionTest, WelfordStatistics) {
   EXPECT_NE(d.str().find("5.0"), std::string::npos);
 }
 
+TEST(DistributionTest, MedianOfMergedSamples) {
+  Distribution d;
+  EXPECT_EQ(d.median(), 0.0);
+  for (double v : {9.0, 1.0, 5.0}) d.add(v);
+  EXPECT_EQ(d.median(), 5.0);
+  Distribution more;
+  for (double v : {100.0, 2.0, 3.0}) more.add(v);
+  d.merge(more);
+  EXPECT_EQ(d.count(), 6u);
+  EXPECT_EQ(d.median(), 4.0);  // (3 + 5) / 2: the outlier 100 moves it little
+  EXPECT_DOUBLE_EQ(d.mean(), 120.0 / 6);
+  EXPECT_EQ(d.max(), 100.0);
+}
+
 TEST(DistributionTest, SingleSampleHasNoSpread) {
   Distribution d;
   d.add(42.5);

@@ -163,28 +163,66 @@ TEST(MtpCodecTest, PreEncodedVidListFramesLikeEncode) {
   EXPECT_EQ(encode_advertise(m.tier, m.seq, list.data()), encode(MtpMessage{m}));
 }
 
-TEST(MtpCodecTest, DecodeAdvertiseReusesItsTarget) {
-  AdvertiseMsg big;
-  big.tier = 3;
-  big.seq = 9;
-  for (std::uint16_t root = 11; root < 75; ++root) big.vids.emplace_back(root);
-  AdvertiseMsg small;
-  small.tier = 1;
-  small.seq = 10;
-  small.vids = {Vid::parse("11")};
+TEST(MtpCodecTest, DecodeAdvertiseViewsThePayloadInPlace) {
+  AdvertiseMsg m;
+  m.tier = 3;
+  m.seq = 9;
+  for (std::uint16_t root = 11; root < 75; ++root) m.vids.push_back(Vid(root).child(2));
+  m.vids.push_back(Vid::parse("1.2.3.4.5.6.7.8"));
+  const net::Buffer payload = encode(MtpMessage{m});
 
-  AdvertiseMsg out;
-  decode_advertise(encode(MtpMessage{big}), out);
-  EXPECT_EQ(out.vids, big.vids);
-  const Vid* storage = out.vids.data();
-  decode_advertise(encode(MtpMessage{small}), out);
-  EXPECT_EQ(out.tier, 1);
-  EXPECT_EQ(out.seq, 10u);
-  EXPECT_EQ(out.vids, small.vids);
-  EXPECT_EQ(out.vids.data(), storage);
+  const AdvertiseView view = decode_advertise(payload);
+  EXPECT_EQ(view.tier, 3);
+  EXPECT_EQ(view.seq, 9u);
+  ASSERT_EQ(view.vids.size(), m.vids.size());
+  EXPECT_EQ(std::vector<Vid>(view.vids.begin(), view.vids.end()), m.vids);
+  for (const Vid& v : m.vids) EXPECT_TRUE(view.vids.contains(v)) << v.str();
+  for (const char* absent : {"11", "11.2.1", "11.3", "75.2", "1.2.3.4.5.6.7"}) {
+    EXPECT_FALSE(view.vids.contains(Vid::parse(absent))) << absent;
+  }
+  EXPECT_FALSE(view.vids.contains(Vid()));
+  // decode() reads the same list into an owning message.
+  EXPECT_EQ(std::get<AdvertiseMsg>(decode(payload)).vids, m.vids);
 
-  EXPECT_THROW(decode_advertise(encode(MtpMessage{HelloMsg{}}), out),
+  const AdvertiseView none = decode_advertise(encode(MtpMessage{AdvertiseMsg{}}));
+  EXPECT_TRUE(none.vids.empty());
+  EXPECT_EQ(none.vids.begin(), none.vids.end());
+  EXPECT_FALSE(none.vids.contains(Vid(11)));
+
+  EXPECT_THROW((void)decode_advertise(encode(MtpMessage{HelloMsg{}})),
                util::CodecError);
+}
+
+// VidListView::parse is the one VID-list validator: decode() and
+// decode_advertise() reject the same malformed lists, whatever message
+// carries them.
+TEST(MtpCodecTest, MalformedVidListsAreRejectedByEveryDecoder) {
+  auto advertise = [](std::initializer_list<std::uint8_t> list) {
+    std::vector<std::uint8_t> out{static_cast<std::uint8_t>(MsgType::kAdvertise),
+                                  3, 0, 0, 0, 1};
+    out.insert(out.end(), list);
+    return out;
+  };
+  const std::vector<std::vector<std::uint8_t>> bad = {
+      advertise({1, 0}),                          // zero-label VID
+      advertise({1, 9, 0, 1, 0, 2, 0, 3, 0, 4,    // 9-label VID
+                 0, 5, 0, 6, 0, 7, 0, 8, 0, 9}),
+      advertise({2, 1, 0, 11}),                   // count past the end
+      advertise({1, 2, 0, 11}),                   // labels past the end
+      advertise({}),                              // no count byte
+      {static_cast<std::uint8_t>(MsgType::kAdvertise), 3, 0, 0},  // header
+  };
+  for (const auto& payload : bad) {
+    EXPECT_THROW((void)decode_advertise(payload), util::CodecError);
+    EXPECT_THROW((void)decode(payload), util::CodecError);
+    if (payload.size() > 5) {  // the same list in a JOIN_REQUEST
+      std::vector<std::uint8_t> request(payload.begin() + 5, payload.end());
+      request[0] = static_cast<std::uint8_t>(MsgType::kJoinRequest);
+      EXPECT_THROW((void)decode(request), util::CodecError);
+    }
+  }
+  EXPECT_EQ(decode_advertise(advertise({1, 1, 0, 11, 0xee})).vids.size(), 1u)
+      << "bytes after the list are not read";
 }
 
 TEST(MtpCodecTest, TypeOfCoversAllAlternatives) {

@@ -378,6 +378,7 @@ TEST(MtpStaleAssignment, OmittedChildIsPrunedUnlessItsOfferIsUnacked) {
   EXPECT_TRUE(assigned());
 }
 
+
 /// Records every frame delivered to it and sends nothing.
 class Recorder : public net::Node {
  public:
@@ -388,6 +389,194 @@ class Recorder : public net::Node {
   }
   std::vector<net::Frame> frames;
 };
+
+/// leaf (VID 11) on spine port 1, two tops on ports 2 and 3 and a silent
+/// recorder on port 4, converged; statements are handed to the spine as if
+/// they arrived on a port.
+class SpineFabric {
+ public:
+  SpineFabric() {
+    MtpConfig leaf_cfg;
+    leaf_cfg.tier = 1;
+    leaf_cfg.server_subnet = ip::Ipv4Prefix::parse("192.168.11.0/24");
+    auto& leaf = network_.add_node<MtpRouter>("leaf", leaf_cfg);
+    MtpConfig spine_cfg;
+    spine_cfg.tier = 2;
+    spine = &network_.add_node<MtpRouter>("spine", spine_cfg);
+    MtpConfig top_cfg;
+    top_cfg.tier = 3;
+    top1 = &network_.add_node<MtpRouter>("top1", top_cfg);
+    top2 = &network_.add_node<MtpRouter>("top2", top_cfg);
+    rec = &network_.add_node<Recorder>("rec");
+    network_.connect(leaf, *spine);   // spine port 1
+    network_.connect(*spine, *top1);  // spine port 2
+    network_.connect(*spine, *top2);  // spine port 3
+    network_.connect(*spine, *rec);   // spine port 4
+    spine->enable_path_select(util::PathSelect::kWcmp);
+    network_.start_all();
+    run_for(sim::Duration::millis(500));
+  }
+
+  void run_for(sim::Duration d) { ctx_.sched.run_until(ctx_.now() + d); }
+
+  void deliver(std::uint32_t port, net::Buffer payload) {
+    net::Frame f;
+    f.dst = net::MacAddr::broadcast();
+    f.ethertype = net::EtherType::kMtp;
+    f.payload = std::move(payload);
+    spine->handle_frame(spine->port(port), std::move(f));
+  }
+
+  void hello(std::uint32_t port) { deliver(port, encode(MtpMessage{HelloMsg{}})); }
+
+  /// ADVERTISE bytes: type, `tier`, `seq`, then `list` as given.
+  static std::vector<std::uint8_t> statement(
+      std::uint8_t tier, std::uint32_t seq,
+      std::initializer_list<std::uint8_t> list) {
+    std::vector<std::uint8_t> out{static_cast<std::uint8_t>(MsgType::kAdvertise),
+                                  tier,
+                                  static_cast<std::uint8_t>(seq >> 24),
+                                  static_cast<std::uint8_t>(seq >> 16),
+                                  static_cast<std::uint8_t>(seq >> 8),
+                                  static_cast<std::uint8_t>(seq)};
+    out.insert(out.end(), list);
+    return out;
+  }
+
+  /// Every VID the recorder was asked to join so far.
+  [[nodiscard]] std::vector<Vid> join_requests_seen() const {
+    std::vector<Vid> out;
+    for (const net::Frame& f : rec->frames) {
+      const MtpMessage msg = decode(f.payload);
+      if (const auto* req = std::get_if<JoinRequestMsg>(&msg)) {
+        out.insert(out.end(), req->vids.begin(), req->vids.end());
+      }
+    }
+    return out;
+  }
+
+  MtpRouter* spine = nullptr;
+  MtpRouter* top1 = nullptr;
+  MtpRouter* top2 = nullptr;
+  Recorder* rec = nullptr;
+
+ private:
+  net::SimContext ctx_{17};
+  net::Network network_{ctx_};
+};
+
+using Ports = std::vector<std::uint32_t>;
+
+// A malformed statement is dropped whole: nothing in it counts, not even
+// the valid VID (root 50) in front of its defect, and it earns no liveness
+// credit. Each case goes to a not-yet-alive port, then from below (the
+// recorder, once accepted) and from above (top1); newer statements (seq
+// 1'500'000) are still accepted after the malformed ones (seq 2'000'000).
+TEST(AdvertiseRx, MalformedStatementIsDroppedWhole) {
+  constexpr std::uint32_t kBad = 2'000'000;
+  constexpr std::uint32_t kNext = 1'500'000;
+  struct Case {
+    const char* name;
+    std::vector<std::uint8_t> below;
+    std::vector<std::uint8_t> above;
+  };
+  auto both = [&](const char* name, std::initializer_list<std::uint8_t> list) {
+    return Case{name, SpineFabric::statement(1, kBad, list),
+                SpineFabric::statement(3, kBad, list)};
+  };
+  auto truncated = [](std::uint8_t tier) {
+    return std::vector<std::uint8_t>{
+        static_cast<std::uint8_t>(MsgType::kAdvertise), tier, 0x00, 0x1e};
+  };
+  const std::vector<Case> cases = {
+      both("zero-label VID", {2, 1, 0, 50, 0}),
+      both("9-label VID", {2, 1, 0, 50, 9, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0,
+                           6, 0, 7, 0, 8, 0, 9}),
+      both("count past the end", {3, 1, 0, 50, 1, 0, 51}),
+      Case{"truncated header", truncated(1), truncated(3)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SpineFabric fabric;
+    MtpRouter& spine = *fabric.spine;
+
+    // Slow-to-Accept: two HELLOs, the malformed statements, one HELLO.
+    ASSERT_FALSE(spine.neighbor_alive(4));
+    fabric.hello(4);
+    fabric.hello(4);
+    fabric.deliver(4, c.below);
+    fabric.deliver(4, c.above);
+    EXPECT_FALSE(spine.neighbor_alive(4));
+    fabric.hello(4);
+    ASSERT_TRUE(spine.neighbor_alive(4));
+
+    const std::string summary = spine.neighbor_summary();
+    ASSERT_NE(summary.find("assigned 11.1.2"), std::string::npos);
+    ASSERT_EQ(spine.eligible_up_ports(11), (Ports{2, 3}));
+    ASSERT_EQ(spine.eligible_up_ports(50), (Ports{2, 3}));
+
+    // From below: no join is requested.
+    fabric.deliver(4, c.below);
+    fabric.run_for(sim::Duration::millis(1));
+    EXPECT_TRUE(fabric.join_requests_seen().empty());
+    // From above: no root is recorded and no assignment is pruned.
+    fabric.deliver(2, c.above);
+    EXPECT_EQ(spine.neighbor_summary(), summary);
+    EXPECT_EQ(spine.eligible_up_ports(11), (Ports{2, 3}));
+    EXPECT_EQ(spine.eligible_up_ports(50), (Ports{2, 3}));
+
+    // The statement counters did not move: a newer statement below the
+    // malformed seq is handled on both sides.
+    fabric.deliver(4, SpineFabric::statement(1, kNext, {1, 1, 0, 50}));
+    fabric.run_for(sim::Duration::millis(1));
+    EXPECT_EQ(fabric.join_requests_seen(), std::vector<Vid>{Vid(50)});
+    fabric.deliver(2, SpineFabric::statement(3, kNext, {1, 1, 0, 50}));
+    EXPECT_EQ(spine.eligible_up_ports(50), (Ports{2}));
+    EXPECT_EQ(spine.eligible_up_ports(11), (Ports{3}));
+    EXPECT_EQ(spine.neighbor_summary().find("assigned 11.1.2"),
+              std::string::npos);
+  }
+}
+
+// The uplink load balancer binary-searches the roots a neighbor advertised
+// and weighs it (under WCMP) by how many there are, so a statement listing
+// its roots out of order and repeatedly is stored sorted and unique.
+TEST(AdvertiseRx, AdvertisedRootsAreSortedAndUnique) {
+  SpineFabric fabric;
+  auto vids_msg = [](std::uint32_t seq, std::initializer_list<const char*> vids) {
+    AdvertiseMsg m{.tier = 3, .seq = seq, .vids = {}};
+    for (const char* v : vids) m.vids.push_back(Vid::parse(v));
+    return encode(MtpMessage{m});
+  };
+  // Roots 30, 12, 11, 30, 20, 12: four distinct.
+  fabric.deliver(2, vids_msg(1'000'000, {"30.1.2", "12.1.2", "11.1.2", "30.1.9",
+                                  "20.1.2", "12.1.9"}));
+  for (const int root : {12, 20, 30}) {
+    EXPECT_EQ(fabric.spine->eligible_up_ports(static_cast<std::uint16_t>(root)), (Ports{2})) << root;
+  }
+  for (const int root : {11, 13, 25, 31}) {
+    EXPECT_EQ(fabric.spine->eligible_up_ports(static_cast<std::uint16_t>(root)), (Ports{2, 3})) << root;
+  }
+
+  // top2 advertises the same four roots once each, so both uplinks weigh
+  // the same and upward DATA toward root 20 splits evenly between them. A
+  // stored duplicate would weigh top1 6:4.
+  fabric.deliver(3, vids_msg(1'000'000, {"11.1.3", "12.1.3", "20.1.3", "30.1.3"}));
+  ASSERT_EQ(fabric.spine->eligible_up_ports(20), (Ports{2, 3}));
+  constexpr int kFlows = 2000;
+  for (int i = 0; i < kFlows; ++i) {
+    DataMsg d;
+    d.src_root = static_cast<std::uint16_t>(1000 + i);
+    d.dst_root = 20;
+    d.ip_packet = std::vector<std::uint8_t>(20, 0);
+    fabric.deliver(1, encode(MtpMessage{std::move(d)}));
+  }
+  fabric.run_for(sim::Duration::millis(50));
+  const auto up1 = static_cast<int>(fabric.top1->mtp_stats().data_dropped_no_path);
+  const auto up2 = static_cast<int>(fabric.top2->mtp_stats().data_dropped_no_path);
+  EXPECT_EQ(up1 + up2, kFlows);
+  EXPECT_LT(std::abs(up1 - up2), kFlows / 10) << up1 << " vs " << up2;
+}
 
 // Routers encode their VID list once per table change and reuse the bytes
 // for every ADVERTISE until it changes. Whatever state the router is in, the
