@@ -59,21 +59,32 @@ std::vector<std::uint16_t> read_roots(util::BufReader& r) {
 /// Type, tier and seq: the ADVERTISE bytes in front of the VID list.
 constexpr std::size_t kAdvertiseHeader = 6;
 
-AdvertiseView read_advertise(util::BufReader& r) {
+AdvertiseView read_advertise(util::BufReader& r, const VidListView& held) {
   AdvertiseView out;
   out.tier = r.u8();
   out.seq = r.u32();
-  out.vids = VidListView::parse(r.rest());
+  const std::span<const std::uint8_t> list = r.rest();
+  out.extends_held = held.leads(list);
+  const VidListView known = out.extends_held ? held : VidListView{};
+  out.vids = VidListView::parse(list, known);
+  out.added = out.vids.after(known);
   return out;
 }
 
 }  // namespace
 
-VidListView VidListView::parse(std::span<const std::uint8_t> wire) {
+VidListView VidListView::parse(std::span<const std::uint8_t> wire,
+                               const VidListView& known) {
   util::BufReader r(wire);
   const std::size_t count = r.u8();
-  for (std::size_t i = 0; i < count; ++i) Vid::skip_wire(r);
+  r.skip(known.vids_.size());
+  for (std::size_t i = known.size_; i < count; ++i) Vid::skip_wire(r);
   return VidListView(wire.subspan(1, r.position() - 1), count);
+}
+
+bool VidListView::leads(std::span<const std::uint8_t> wire) const {
+  return size_ != 0 && wire.size() > vids_.size() && wire[0] >= size_ &&
+         std::memcmp(wire.data() + 1, vids_.data(), vids_.size()) == 0;
 }
 
 bool VidListView::contains(const Vid& vid) const {
@@ -175,7 +186,7 @@ MtpMessage decode(net::Buffer payload) {
     case MsgType::kHello:
       return HelloMsg{};
     case MsgType::kAdvertise: {
-      const AdvertiseView view = read_advertise(r);
+      const AdvertiseView view = read_advertise(r, {});
       return AdvertiseMsg{view.tier, view.seq, to_vector(view.vids)};
     }
     case MsgType::kJoinRequest:
@@ -233,12 +244,13 @@ net::Buffer encode_advertise(std::uint8_t tier, std::uint32_t seq,
   return w.take();
 }
 
-AdvertiseView decode_advertise(std::span<const std::uint8_t> payload) {
+AdvertiseView decode_advertise(std::span<const std::uint8_t> payload,
+                               const VidListView& held) {
   util::BufReader r(payload);
   if (static_cast<MsgType>(r.u8()) != MsgType::kAdvertise) {
     throw util::CodecError("MTP: not an ADVERTISE");
   }
-  return read_advertise(r);
+  return read_advertise(r, held);
 }
 
 }  // namespace mrmtp::mtp

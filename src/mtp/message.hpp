@@ -54,10 +54,12 @@ struct AdvertiseMsg {
 };
 
 /// A wire VID list read in place: the count byte, then each VID as
-/// Vid::serialize writes it. parse() validates the whole list in one pass;
-/// iteration then decodes each VID by value straight from the bytes, with no
-/// further check. Non-owning: whoever reads through the view keeps the bytes
-/// alive (a router holds the frame's slab while it handles the message).
+/// Vid::serialize writes it. parse() validates the whole list in one pass,
+/// or only the VIDs after a prefix it accepted earlier; iteration then
+/// decodes each VID by value straight from the bytes, with no further
+/// check. Non-owning: whoever reads through the view keeps the bytes alive
+/// (a router holds the frame's slab while it handles the message, and the
+/// last upstream statement's slab until the next one).
 class VidListView {
  public:
   class Iterator {
@@ -95,7 +97,23 @@ class VidListView {
   /// Validates the list at the front of `wire` (bytes after it are not
   /// read): the count byte, then every VID with 1..Vid::kMaxDepth labels and
   /// all its bytes in bounds. Throws util::CodecError otherwise.
-  static VidListView parse(std::span<const std::uint8_t> wire);
+  static VidListView parse(std::span<const std::uint8_t> wire) {
+    return parse(wire, {});
+  }
+  /// parse() resumed after `known`, a list parse() accepted earlier that
+  /// leads `wire` (checked with leads()): those VIDs are known valid, so
+  /// only the ones after them are read.
+  static VidListView parse(std::span<const std::uint8_t> wire,
+                           const VidListView& known);
+
+  /// True when the list at the front of `wire` starts with this list's VIDs,
+  /// byte for byte: its count is at least size() and one memcmp matches.
+  /// An empty list leads nothing (there would be nothing to skip).
+  [[nodiscard]] bool leads(std::span<const std::uint8_t> wire) const;
+  /// The VIDs after the first prefix.size(), where `prefix` leads this list.
+  [[nodiscard]] VidListView after(const VidListView& prefix) const {
+    return VidListView(vids_.subspan(prefix.vids_.size()), size_ - prefix.size_);
+  }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
@@ -120,6 +138,10 @@ struct AdvertiseView {
   std::uint8_t tier = 0;
   std::uint32_t seq = 0;
   VidListView vids;
+  /// True when `vids` starts with the `held` list given to decode_advertise.
+  bool extends_held = false;
+  /// The VIDs after that list when extends_held, else all of `vids`.
+  VidListView added;
 };
 
 /// Upstream device asks to join the advertised trees (listing the
@@ -207,7 +229,12 @@ constexpr std::size_t kMaxListEntries = 255;
 /// `payload`'s bytes, so it is valid only while they are. Throws
 /// util::CodecError on a malformed payload or one of another type. decode()
 /// reads every VID list through the same validator (VidListView::parse).
-[[nodiscard]] AdvertiseView decode_advertise(std::span<const std::uint8_t> payload);
+/// `held` is a list this validator accepted earlier (a router passes the
+/// last statement from the same neighbor): when it leads the payload's
+/// list, only the VIDs after it are validated, so a re-sent statement with
+/// VIDs appended costs what it adds.
+[[nodiscard]] AdvertiseView decode_advertise(std::span<const std::uint8_t> payload,
+                                             const VidListView& held = {});
 
 [[nodiscard]] MsgType type_of(const MtpMessage& msg);
 

@@ -9,6 +9,21 @@
 namespace mrmtp::mtp {
 
 namespace {
+/// Adds the roots of `added` to `roots` (sorted and unique); returns whether
+/// any was new. `added` is what a statement appends to the held one, a few
+/// VIDs, so each root is placed by binary search.
+bool merge_roots(std::vector<std::uint16_t>& roots, const VidListView& added) {
+  bool changed = false;
+  for (auto it = added.begin(); it != added.end(); ++it) {
+    const std::uint16_t root = it.root();
+    const auto at = std::lower_bound(roots.begin(), roots.end(), root);
+    if (at != roots.end() && *at == root) continue;
+    roots.insert(at, root);
+    changed = true;
+  }
+  return changed;
+}
+
 /// Root 0 is reserved as "every destination beyond my uplinks": a spine that
 /// loses its last usable uplink tells its downstream neighbors to stop
 /// load-balancing anything through it. Rack subnets therefore must not use
@@ -53,7 +68,8 @@ void MtpRouter::stop() {
   started_ = false;
   draining_ = false;
   // Destroying each PortState cancels its timers (sim::Timer stops in its
-  // destructor); start() re-creates everything from defaults.
+  // destructor) and drops its held statement and offer counts; start()
+  // re-creates everything from defaults.
   ports_state_.clear();
   outstanding_.clear();
   vid_table_.clear();
@@ -72,7 +88,7 @@ void MtpRouter::drain() {
     if (s.assigned.empty()) continue;
     std::vector<Vid> gone;
     gone.reserve(s.assigned.size());
-    for (const auto& [child, base] : s.assigned) gone.push_back(child);
+    for (const auto& [child, a] : s.assigned) gone.push_back(child);
     s.assigned.clear();
     queue_withdraw(up, gone);
   }
@@ -164,6 +180,8 @@ void MtpRouter::send_reliable(std::uint32_t port_number, MtpMessage msg) {
 
   auto [it, inserted] = outstanding_.emplace(id, Outstanding{port_number, msg, 0, nullptr});
   Outstanding& entry = it->second;
+  // A taken id keeps its old message: only a new entry is counted.
+  if (inserted) count_offer(entry, /*add=*/true);
   entry.timer = std::make_unique<sim::Timer>(ctx_.sched, [this, id] {
     auto found = outstanding_.find(id);
     if (found == outstanding_.end()) return;
@@ -172,7 +190,7 @@ void MtpRouter::send_reliable(std::uint32_t port_number, MtpMessage msg) {
       // Give up; the dead timer will declare the neighbor down if it is
       // truly gone. Deferred erase: we are inside this entry's own timer.
       ctx_.sched.schedule_after(sim::Duration::nanos(0),
-                                [this, id] { outstanding_.erase(id); });
+                                [this, id] { erase_outstanding(id); });
       return;
     }
     ++o.retries;
@@ -181,6 +199,26 @@ void MtpRouter::send_reliable(std::uint32_t port_number, MtpMessage msg) {
   });
   entry.timer->start(config_.timers.retransmit);
   send_msg(port_number, msg);
+}
+
+void MtpRouter::erase_outstanding(std::uint16_t id) {
+  const auto it = outstanding_.find(id);
+  if (it == outstanding_.end()) return;
+  count_offer(it->second, /*add=*/false);
+  outstanding_.erase(it);
+}
+
+void MtpRouter::count_offer(const Outstanding& o, bool add) {
+  const auto* offer = std::get_if<JoinOfferMsg>(&o.msg);
+  if (offer == nullptr) return;
+  std::map<Vid, std::uint32_t>& offered = pstate(o.port).offered;
+  for (const Vid& child : offer->vids) {
+    if (add) {
+      ++offered[child];
+    } else if (const auto it = offered.find(child); --it->second == 0) {
+      offered.erase(it);
+    }
+  }
 }
 
 void MtpRouter::handle_frame(net::Port& in, net::Frame frame) {
@@ -198,22 +236,30 @@ void MtpRouter::handle_frame(net::Port& in, net::Frame frame) {
   // ADVERTISE carries the sender's whole table: both are read straight from
   // the frame's bytes, with no MtpMessage built. A HELLO's slab is released
   // before note_rx, as decode(std::move(payload)) below releases every other
-  // message's; an ADVERTISE's stays held until its handler returns.
+  // message's; an ADVERTISE's goes to its handler, which may hold it. Its
+  // list is compared with the port's held list (one memcmp) and, where it
+  // repeats it, only the VIDs after it are validated.
   if (!frame.payload.empty()) {
     switch (static_cast<MsgType>(frame.payload[0])) {
       case MsgType::kHello:
         frame.payload = net::Buffer{};
+        // The neighbor sends a HELLO only after a hello interval with nothing
+        // else to send, so its statements have settled: nothing stays held
+        // once the fabric is quiet.
+        s.release_held();
         note_rx(in);
         return;
       case MsgType::kAdvertise: {
         AdvertiseView adv;
         try {
-          adv = decode_advertise(frame.payload);
+          adv = decode_advertise(frame.payload, s.held_vids);
         } catch (const util::CodecError&) {
           return;
         }
         note_rx(in);
-        if (s.alive) handle_advertise(in.number(), adv);
+        if (s.alive) {
+          handle_advertise(in.number(), adv, std::move(frame.payload));
+        }
         return;
       }
       default:
@@ -242,7 +288,7 @@ void MtpRouter::handle_msg(net::Port& in, MtpMessage& msg) {
                       std::is_same_v<T, AdvertiseMsg>) {
           // Never reached: handle_frame reads both from the frame bytes.
         } else if constexpr (std::is_same_v<T, CtrlAckMsg>) {
-          outstanding_.erase(m.msg_id);
+          erase_outstanding(m.msg_id);
         } else if constexpr (std::is_same_v<T, DataMsg>) {
           // Move the payload through: its slab stays uniquely owned, so the
           // re-encapsulation on the far port prepends in place.
@@ -375,6 +421,7 @@ void MtpRouter::neighbor_down(std::uint32_t p) {
   // capability statement must be re-earned, not remembered, and its
   // statement counter restarts from zero.
   s.advertised_roots.clear();
+  s.release_held();
   s.last_adv_seq = 0;
   invalidate_up_cache();
   ++stats_.neighbors_lost;
@@ -399,6 +446,7 @@ void MtpRouter::neighbor_down(std::uint32_t p) {
   for (auto it = outstanding_.begin(); it != outstanding_.end();) {
     it = (it->second.port == p) ? outstanding_.erase(it) : std::next(it);
   }
+  s.offered.clear();  // every offer on this port went with them
 
   std::vector<VidEntry> lost = vid_table_.remove_port(p);
   s.assigned.clear();
@@ -526,20 +574,8 @@ bool MtpRouter::store_advertised_roots(PortState& s, const VidListView& vids) {
   return changed;
 }
 
-bool MtpRouter::offer_pending(std::uint32_t p, const Vid& child) const {
-  for (const auto& [id, o] : outstanding_) {
-    if (o.port != p) continue;
-    if (const auto* offer = std::get_if<JoinOfferMsg>(&o.msg)) {
-      if (std::find(offer->vids.begin(), offer->vids.end(), child) !=
-          offer->vids.end()) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseView& msg) {
+void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseView& msg,
+                                 net::Buffer payload) {
   PortState& s = pstate(p);
   // Links can duplicate a frame and deliver the copy late — after newer
   // statements (and even after join handshakes the original triggered). A
@@ -548,6 +584,14 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseView& msg) {
   // than the last statement accepted from this neighbor.
   if (msg.seq != 0 && msg.seq <= s.last_adv_seq) return;
   if (msg.seq != 0) s.last_adv_seq = msg.seq;
+  // Only an upstream statement is held, and only for the next one: `msg`
+  // views its own payload, never the held one.
+  if (msg.tier > config_.tier) {
+    s.held_adv = std::move(payload);
+    s.held_vids = msg.vids;
+  } else {
+    s.release_held();
+  }
   bool first_contact = !s.neighbor_tier.has_value();
   if (first_contact || *s.neighbor_tier != msg.tier) invalidate_up_cache();
   s.neighbor_tier = msg.tier;
@@ -556,8 +600,12 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseView& msg) {
   if (msg.tier >= config_.tier) {
     // An upstream's advertisement is a full statement of the trees it
     // holds: remember the roots so the uplink load balancer can steer tree
-    // traffic toward uplinks that can actually deliver it.
-    if (store_advertised_roots(s, msg.vids)) invalidate_up_cache();
+    // traffic toward uplinks that can actually deliver it. A statement that
+    // extends the held one adds only the roots of the VIDs it appends.
+    if (msg.extends_held ? merge_roots(s.advertised_roots, msg.added)
+                         : store_advertised_roots(s, msg.vids)) {
+      invalidate_up_cache();
+    }
     // Any child VID we once assigned on this port that it no longer lists
     // was pruned on its side — e.g. a one-way gray episode starved the
     // upstream into declaring us dead while we kept seeing its frames and
@@ -566,12 +614,18 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseView& msg) {
     // and the join handshake restarts. A JOIN_OFFER still awaiting its ack
     // names a VID the neighbor has not processed yet, so its absence from
     // this statement is expected — pruning it here would orphan the tree on
-    // our side while the neighbor goes on to join it.
+    // our side while the neighbor goes on to join it. A child the held
+    // statement listed is still listed when this one extends it, so only
+    // the others are looked for, among the appended VIDs; any other
+    // statement is searched for every child.
     if (msg.tier > config_.tier) {
       for (auto it = s.assigned.begin(); it != s.assigned.end();) {
-        const bool held =
-            msg.vids.contains(it->first) || offer_pending(p, it->first);
-        it = held ? std::next(it) : s.assigned.erase(it);
+        Assignment& a = it->second;
+        if (!msg.extends_held || !a.listed) {
+          a.listed = msg.added.contains(it->first);
+        }
+        const bool keep = a.listed || offer_pending(p, it->first);
+        it = keep ? std::next(it) : s.assigned.erase(it);
       }
     }
     return;  // we only join trees from below
@@ -634,7 +688,7 @@ void MtpRouter::handle_join_request(std::uint32_t p, const JoinRequestMsg& msg) 
     // The derived VID is the base plus the port the request arrived on
     // (paper §III.B).
     Vid child = base.child(static_cast<std::uint16_t>(p));
-    s.assigned.emplace(child, base);
+    s.assigned.emplace(child, Assignment{base});
     offer.vids.push_back(std::move(child));
   }
   if (!offer.vids.empty()) send_reliable(p, offer);
@@ -696,7 +750,8 @@ void MtpRouter::process_vid_loss(const std::vector<VidEntry>& lost,
     PortState& s = pstate(up);
     std::vector<Vid> withdraw;
     for (auto it = s.assigned.begin(); it != s.assigned.end();) {
-      if (std::binary_search(lost_vids.begin(), lost_vids.end(), it->second)) {
+      if (std::binary_search(lost_vids.begin(), lost_vids.end(),
+                             it->second.base)) {
         withdraw.push_back(it->first);
         it = s.assigned.erase(it);
       } else {
@@ -1186,7 +1241,7 @@ std::string MtpRouter::neighbor_summary() const {
     }
     if (!held.empty()) out += "  holds " + held;
     std::string given;
-    for (const auto& [child, base] : s.assigned) {
+    for (const auto& [child, a] : s.assigned) {
       if (!given.empty()) given += ',';
       given += child.str();
     }

@@ -185,6 +185,14 @@ class MtpRouter : public net::Node {
   }
 
  private:
+  /// A child VID assigned to the neighbor on a port.
+  struct Assignment {
+    Vid base;
+    /// The port's held statement lists the child; false until a statement
+    /// is checked for it (see handle_advertise).
+    bool listed = false;
+  };
+
   struct PortState {
     bool mtp = true;  // rack ports carry plain IP
     std::optional<std::uint8_t> neighbor_tier;
@@ -197,14 +205,30 @@ class MtpRouter : public net::Node {
     std::unique_ptr<sim::Timer> join_retry_timer;
     /// Tree bases requested on this port, awaiting offers (we are upstream).
     std::set<Vid> join_pending;
-    /// Child VIDs we assigned to the neighbor on this port -> their base.
-    std::map<Vid, Vid> assigned;
+    /// Child VIDs we assigned to the neighbor on this port.
+    std::map<Vid, Assignment> assigned;
+    /// Children named by unacked JOIN_OFFERs on this port -> how many such
+    /// offers name each (kept with outstanding_, see count_offer).
+    std::map<Vid, std::uint32_t> offered;
     /// Roots an *upstream* neighbor listed in its last ADVERTISE — a full
     /// statement of the trees it holds — sorted and unique. The uplink load
     /// balancer prefers uplinks that advertised the destination root, so a
     /// cold-rejoining neighbor draws no tree traffic until it has actually
     /// re-joined.
     std::vector<std::uint16_t> advertised_roots;
+    /// The last statement accepted from an upstream neighbor: its payload
+    /// (a refcount on the frame's slab, not a copy) and its VID list. A
+    /// neighbor re-sends its whole statement on every table change, nearly
+    /// always the held list with VIDs appended, so the next statement is
+    /// read only past the bytes that repeat `held_vids` (see
+    /// handle_advertise). neighbor_down, stop(), the next accepted
+    /// statement and a HELLO from the neighbor release it.
+    net::Buffer held_adv;
+    VidListView held_vids;
+    void release_held() {
+      held_adv = net::Buffer{};
+      held_vids = VidListView{};
+    }
     /// Highest ADVERTISE seq seen from this neighbor; older statements are
     /// duplicates the link re-delivered late and must not prune anything.
     /// Reset when the neighbor dies so a rebooted sender restarts cleanly.
@@ -237,6 +261,11 @@ class MtpRouter : public net::Node {
   /// Frames an encoded message of `type` and transmits it on `out`.
   void send_payload(net::Port& out, MsgType type, net::Buffer payload);
   void send_reliable(std::uint32_t port, MtpMessage msg);
+  /// Erases the reliable message `id` if it is still outstanding.
+  void erase_outstanding(std::uint16_t id);
+  /// Counts the children `o` names into (or out of) its port's `offered`,
+  /// if it is a JOIN_OFFER.
+  void count_offer(const Outstanding& o, bool add);
   void handle_msg(net::Port& in, MtpMessage& msg);
 
   // --- liveness ---
@@ -256,16 +285,19 @@ class MtpRouter : public net::Node {
   void send_advertise(std::uint32_t port);
   /// The encoded VID list of our statement (see adv_body_).
   [[nodiscard]] std::span<const std::uint8_t> advertise_body();
-  /// Reads the statement in place: `msg` views the received frame's bytes,
-  /// which handle_frame holds until this returns.
-  void handle_advertise(std::uint32_t port, const AdvertiseView& msg);
+  /// Reads the statement in place: `msg` views `payload`'s bytes. An
+  /// accepted statement from above is kept as the port's held statement.
+  void handle_advertise(std::uint32_t port, const AdvertiseView& msg,
+                        net::Buffer payload);
   /// Sets `s.advertised_roots` to the roots of `vids`, sorted and unique;
   /// returns whether they changed. Roots are ToR VIDs, small dense
   /// integers, so a mark per root value and one pass over the marked range
   /// order them without a sort or a copy of the list.
   bool store_advertised_roots(PortState& s, const VidListView& vids);
   /// True when an unacked JOIN_OFFER on `port` names `child`.
-  [[nodiscard]] bool offer_pending(std::uint32_t port, const Vid& child) const;
+  [[nodiscard]] bool offer_pending(std::uint32_t port, const Vid& child) const {
+    return pstate(port).offered.contains(child);
+  }
   void handle_join_request(std::uint32_t port, const JoinRequestMsg& msg);
   void handle_join_offer(std::uint32_t port, const JoinOfferMsg& msg);
   void retry_joins(std::uint32_t port);

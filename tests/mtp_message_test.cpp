@@ -225,6 +225,60 @@ TEST(MtpCodecTest, MalformedVidListsAreRejectedByEveryDecoder) {
       << "bytes after the list are not read";
 }
 
+// Given the list of an earlier statement, decode_advertise skips the VIDs
+// a new list repeats byte for byte and validates only the ones after them;
+// a list that does not start with the held one is read whole.
+TEST(MtpCodecTest, DecodeAdvertiseReadsOnlyPastAHeldPrefix) {
+  auto payload = [](std::initializer_list<std::uint8_t> list) {
+    std::vector<std::uint8_t> out{static_cast<std::uint8_t>(MsgType::kAdvertise),
+                                  3, 0, 0, 0, 1};
+    for (const std::uint8_t byte : list) out.push_back(byte);
+    return out;
+  };
+  // 11.2 and 12.2, held; 13.2 is appended.
+  const std::vector<std::uint8_t> first = payload({2, 2, 0, 11, 0, 2, 2, 0, 12, 0, 2});
+  const VidListView held = decode_advertise(first).vids;
+  const std::vector<Vid> both = {Vid::parse("11.2"), Vid::parse("12.2")};
+
+  const std::vector<std::uint8_t> appended =
+      payload({3, 2, 0, 11, 0, 2, 2, 0, 12, 0, 2, 2, 0, 13, 0, 2});
+  const AdvertiseView longer = decode_advertise(appended, held);
+  EXPECT_TRUE(longer.extends_held);
+  EXPECT_EQ(longer.vids.size(), 3u);
+  EXPECT_EQ(std::vector<Vid>(longer.added.begin(), longer.added.end()),
+            std::vector<Vid>{Vid::parse("13.2")});
+
+  const AdvertiseView same = decode_advertise(first, held);
+  EXPECT_TRUE(same.extends_held);
+  EXPECT_TRUE(same.added.empty());
+
+  // The appended VIDs are still validated.
+  EXPECT_THROW((void)decode_advertise(
+                   payload({3, 2, 0, 11, 0, 2, 2, 0, 12, 0, 2, 0}), held),
+               util::CodecError);
+  EXPECT_THROW((void)decode_advertise(
+                   payload({4, 2, 0, 11, 0, 2, 2, 0, 12, 0, 2, 2, 0, 13, 0, 2}),
+                   held),
+               util::CodecError);
+
+  // Shorter, reordered, the held bytes under a smaller count, and any list
+  // against an empty held one: read whole.
+  const std::vector<std::vector<std::uint8_t>> whole = {
+      payload({1, 2, 0, 11, 0, 2}),
+      payload({3, 2, 0, 12, 0, 2, 2, 0, 11, 0, 2, 2, 0, 13, 0, 2}),
+      payload({1, 2, 0, 11, 0, 2, 2, 0, 12, 0, 2}),
+  };
+  for (const auto& p : whole) {
+    const AdvertiseView view = decode_advertise(p, held);
+    EXPECT_FALSE(view.extends_held);
+    EXPECT_EQ(std::vector<Vid>(view.added.begin(), view.added.end()),
+              std::vector<Vid>(view.vids.begin(), view.vids.end()));
+  }
+  const AdvertiseView unheld = decode_advertise(first, VidListView{});
+  EXPECT_FALSE(unheld.extends_held);
+  EXPECT_EQ(std::vector<Vid>(unheld.added.begin(), unheld.added.end()), both);
+}
+
 TEST(MtpCodecTest, TypeOfCoversAllAlternatives) {
   EXPECT_EQ(type_of(MtpMessage{HelloMsg{}}), MsgType::kHello);
   EXPECT_EQ(type_of(MtpMessage{AdvertiseMsg{}}), MsgType::kAdvertise);

@@ -2,7 +2,9 @@
 // liveness, hello suppression, keep-alive wire size, reliability
 // retransmission, a parameterized tree-establishment property on
 // randomized Clos sizes (every VID is a real loop-free path), the
-// stale-assignment rule, and the ADVERTISE bytes a router puts on the wire.
+// stale-assignment rule, how received ADVERTISEs are read (whole or past
+// the statement held from the same port), and the ADVERTISE bytes a router
+// puts on the wire.
 #include <gtest/gtest.h>
 
 #include "harness/deploy.hpp"
@@ -576,6 +578,271 @@ TEST(AdvertiseRx, AdvertisedRootsAreSortedAndUnique) {
   const auto up2 = static_cast<int>(fabric.top2->mtp_stats().data_dropped_no_path);
   EXPECT_EQ(up1 + up2, kFlows);
   EXPECT_LT(std::abs(up1 - up2), kFlows / 10) << up1 << " vs " << up2;
+}
+
+// A neighbor re-sends its whole statement on every table change, and the
+// spine reads only what a statement appends to the one it holds from that
+// port. These cases check that reading a statement that way leaves exactly
+// the state reading it whole would.
+
+/// SpineFabric with the recorder on port 4 accepted as a tier-3 neighbor
+/// that asked to join trees 11.1 and 12.1 (12.1 planted in the spine's
+/// table): the spine assigned it 11.1.4 and 12.1.4 in one JOIN_OFFER, not
+/// yet acked.
+class RecorderAbove : public SpineFabric {
+ public:
+  RecorderAbove() {
+    spine->debug_add_vid_entry(Vid::parse("12.1"), 1);
+    for (int i = 0; i < 3; ++i) hello(4);
+    advertise(4, 1, {});
+    deliver(4, encode(MtpMessage{JoinRequestMsg{
+                   {Vid::parse("11.1"), Vid::parse("12.1")}}}));
+  }
+
+  /// A tier-3 statement of `vids` with `seq` from `port`.
+  void advertise(std::uint32_t port, std::uint32_t seq,
+                 const std::vector<const char*>& vids) {
+    AdvertiseMsg m{.tier = 3, .seq = seq, .vids = {}};
+    for (const char* v : vids) m.vids.push_back(Vid::parse(v));
+    deliver(port, encode(MtpMessage{m}));
+  }
+
+  /// Acks every JOIN_OFFER the recorder has received 1 ms from now.
+  void ack_offers() {
+    run_for(sim::Duration::millis(1));
+    std::vector<std::uint16_t> ids;
+    for (const net::Frame& f : rec->frames) {
+      const MtpMessage msg = decode(f.payload);
+      if (const auto* offer = std::get_if<JoinOfferMsg>(&msg)) {
+        ids.push_back(offer->msg_id);
+      }
+    }
+    for (const std::uint16_t id : ids) {
+      deliver(4, encode(MtpMessage{CtrlAckMsg{id}}));
+    }
+  }
+
+  /// What a statement from above can change: the spine's ports, holdings
+  /// and assignments, the uplinks it picks toward each root involved, and
+  /// every JOIN the recorder has seen.
+  [[nodiscard]] std::string state() const {
+    std::string out = spine->neighbor_summary();
+    for (const std::uint16_t root :
+         std::initializer_list<std::uint16_t>{11, 12, 50, 60, 70}) {
+      out += "root " + std::to_string(root) + ":";
+      for (const std::uint32_t p : spine->eligible_up_ports(root)) {
+        out += " " + std::to_string(p);
+      }
+      out += "\n";
+    }
+    for (const net::Frame& f : rec->frames) {
+      const MtpMessage msg = decode(f.payload);
+      if (const auto* offer = std::get_if<JoinOfferMsg>(&msg)) {
+        out += "offer";
+        for (const Vid& v : offer->vids) out += " " + v.str();
+        out += "\n";
+      } else if (const auto* req = std::get_if<JoinRequestMsg>(&msg)) {
+        out += "request";
+        for (const Vid& v : req->vids) out += " " + v.str();
+        out += "\n";
+      }
+    }
+    return out;
+  }
+};
+
+// Statements that each extend the last leave the state the last one alone
+// leaves on a fresh router. The chain covers a child kept only by its
+// unacked offer, pruned once acked on an extension that still omits it,
+// repeated and new roots, and a statement repeated unchanged.
+TEST(AdvertiseRx, ExtendingStatementsLeaveTheLastStatementsState) {
+  const std::vector<std::vector<const char*>> chain = {
+      {"11.1.4"},
+      {"11.1.4", "50.1.2"},
+      {"11.1.4", "50.1.2", "50.1.3", "60.1.2"},
+      {"11.1.4", "50.1.2", "50.1.3", "60.1.2"},
+      {"11.1.4", "50.1.2", "50.1.3", "60.1.2", "11.2.4", "70.1.2"},
+  };
+  RecorderAbove extended;
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    if (i == 1) extended.ack_offers();
+    extended.advertise(4, static_cast<std::uint32_t>(10 + i), chain[i]);
+  }
+  RecorderAbove fresh;
+  fresh.ack_offers();
+  fresh.advertise(4, static_cast<std::uint32_t>(10 + chain.size() - 1),
+                  chain.back());
+
+  const std::string state = extended.state();
+  EXPECT_EQ(state, fresh.state());
+  EXPECT_NE(state.find("assigned 11.1.4\n"), std::string::npos) << state;
+  for (const std::uint16_t root : std::initializer_list<std::uint16_t>{50, 60, 70}) {
+    EXPECT_EQ(extended.spine->eligible_up_ports(root), (Ports{4})) << root;
+  }
+}
+
+// An extension whose appended VIDs are malformed is dropped whole, as any
+// malformed statement is: no root of the valid VID appended in front of the
+// defect is recorded, its seq is not consumed, it earns no keep-alive or
+// Slow-to-Accept credit, and the held statement stays what later
+// extensions are read against.
+TEST(AdvertiseRx, MalformedExtensionIsDroppedWhole) {
+  constexpr std::uint32_t kBad = 2'000'000;
+  // VIDs 50.1 (held), 60.1 and 70.1 (appended later).
+  const std::vector<std::uint8_t> v50 = {2, 0, 50, 0, 1};
+  const std::vector<std::uint8_t> v60 = {2, 0, 60, 0, 1};
+  const std::vector<std::uint8_t> v70 = {2, 0, 70, 0, 1};
+  auto list = [](std::uint8_t count,
+                 std::initializer_list<std::vector<std::uint8_t>> parts) {
+    std::vector<std::uint8_t> out{count};
+    for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
+    return out;
+  };
+  auto statement = [](std::uint32_t seq, const std::vector<std::uint8_t>& l) {
+    std::vector<std::uint8_t> out = SpineFabric::statement(3, seq, {});
+    out.insert(out.end(), l.begin(), l.end());
+    return out;
+  };
+  struct Case {
+    const char* name;
+    // The malformed list after the held 50.1 (and then after 50.1, 60.1).
+    std::vector<std::uint8_t> after_held;
+    std::vector<std::uint8_t> after_extension;
+  };
+  const std::vector<std::uint8_t> zero_labels = {0};
+  const std::vector<std::uint8_t> nine_labels = {9, 0, 1, 0, 2, 0, 3, 0, 4, 0,
+                                                 5, 0, 6, 0, 7, 0, 8, 0, 9};
+  const std::vector<Case> cases = {
+      {"zero-label VID", list(3, {v50, v60, zero_labels}),
+       list(4, {v50, v60, v70, zero_labels})},
+      {"9-label VID", list(3, {v50, v60, nine_labels}),
+       list(4, {v50, v60, v70, nine_labels})},
+      {"count past the end", list(3, {v50, v60}), list(4, {v50, v60, v70})},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SpineFabric fabric;
+    MtpRouter& spine = *fabric.spine;
+    for (int i = 0; i < 3; ++i) fabric.hello(4);
+    ASSERT_TRUE(spine.neighbor_alive(4));
+    fabric.deliver(4, statement(10, list(1, {v50})));
+    ASSERT_EQ(spine.eligible_up_ports(50), (Ports{4}));
+    const std::string summary = spine.neighbor_summary();
+
+    // Nothing of the malformed extension counts, not even 60.1.
+    fabric.deliver(4, statement(kBad, c.after_held));
+    EXPECT_EQ(spine.neighbor_summary(), summary);
+    EXPECT_EQ(spine.eligible_up_ports(50), (Ports{4}));
+    EXPECT_EQ(spine.eligible_up_ports(60), (Ports{2, 3, 4}));
+
+    // A valid extension of the held statement, numbered below the
+    // malformed one, is read.
+    fabric.deliver(4, statement(20, list(2, {v50, v60})));
+    EXPECT_EQ(spine.eligible_up_ports(50), (Ports{4}));
+    EXPECT_EQ(spine.eligible_up_ports(60), (Ports{4}));
+
+    // No keep-alive credit: the dead interval runs from the valid one.
+    fabric.run_for(sim::Duration::millis(60));
+    fabric.deliver(4, statement(kBad, c.after_extension));
+    EXPECT_EQ(spine.eligible_up_ports(70), (Ports{2, 3, 4}));
+    fabric.run_for(sim::Duration::millis(45));
+    EXPECT_FALSE(spine.neighbor_alive(4));
+
+    // No Slow-to-Accept credit either, now that nothing is held.
+    fabric.hello(4);
+    fabric.hello(4);
+    fabric.deliver(4, statement(kBad, c.after_extension));
+    EXPECT_FALSE(spine.neighbor_alive(4));
+    fabric.hello(4);
+    EXPECT_TRUE(spine.neighbor_alive(4));
+  }
+}
+
+// A statement that does not extend the held one is searched whole: an
+// assigned child the held statement listed and this one omits is pruned,
+// whether the new list is shorter, reordered, or repeats the held bytes
+// under a smaller count.
+TEST(AdvertiseRx, StatementNotExtendingTheHeldOnePrunesOmittedChildren) {
+  struct Case {
+    const char* name;
+    std::vector<std::uint8_t> list;
+    const char* kept;
+  };
+  // 11.1.4 then 12.1.4, as the held statement lists them.
+  const std::vector<std::uint8_t> held = {2, 3, 0, 11, 0, 1, 0, 4,
+                                          3, 0, 12, 0, 1, 0, 4};
+  std::vector<std::uint8_t> smaller_count = held;
+  smaller_count[0] = 1;
+  const std::vector<Case> cases = {
+      {"shorter", {1, 3, 0, 11, 0, 1, 0, 4}, "11.1.4"},
+      {"reordered", {2, 3, 0, 12, 0, 1, 0, 4, 2, 0, 50, 0, 2}, "12.1.4"},
+      {"smaller count", smaller_count, "11.1.4"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RecorderAbove fabric;
+    fabric.ack_offers();
+    std::vector<std::uint8_t> first = SpineFabric::statement(3, 10, {});
+    first.insert(first.end(), held.begin(), held.end());
+    fabric.deliver(4, first);
+    const std::string before = fabric.spine->neighbor_summary();
+    ASSERT_NE(before.find("assigned 11.1.4,12.1.4\n"), std::string::npos)
+        << before;
+
+    std::vector<std::uint8_t> next = SpineFabric::statement(3, 11, {});
+    next.insert(next.end(), c.list.begin(), c.list.end());
+    fabric.deliver(4, next);
+    const std::string after = fabric.spine->neighbor_summary();
+    EXPECT_NE(after.find("assigned " + std::string(c.kept) + "\n"),
+              std::string::npos)
+        << after;
+  }
+}
+
+// A neighbor that went down is read afresh when it comes back. It restarts
+// its statement numbers from 1 and is re-accepted on three statements
+// (Slow-to-Accept), the third of which is handled. Re-sending a prefix of
+// its old statement brings back none of the roots it dropped, and a
+// statement that extends the one held before the failure is still read
+// whole.
+TEST(AdvertiseRx, NeighborDownReleasesTheHeldStatement) {
+  RecorderAbove fabric;
+  MtpRouter& spine = *fabric.spine;
+  auto fail_and_return_with = [&](const std::vector<const char*>& vids) {
+    fabric.run_for(sim::Duration::millis(150));
+    ASSERT_FALSE(spine.neighbor_alive(4));
+    for (std::uint32_t seq = 1; seq <= 3; ++seq) fabric.advertise(4, seq, vids);
+    ASSERT_TRUE(spine.neighbor_alive(4));
+  };
+  fabric.advertise(4, 10, {"50.1.2", "70.1.2"});
+  ASSERT_EQ(spine.eligible_up_ports(70), (Ports{4}));
+
+  fail_and_return_with({"50.1.2"});
+  EXPECT_EQ(spine.eligible_up_ports(50), (Ports{4}));
+  EXPECT_EQ(spine.eligible_up_ports(70), (Ports{2, 3, 4}));
+
+  fail_and_return_with({"50.1.2", "60.1.2"});
+  EXPECT_EQ(spine.eligible_up_ports(50), (Ports{4}));
+  EXPECT_EQ(spine.eligible_up_ports(60), (Ports{4}));
+  EXPECT_EQ(spine.eligible_up_ports(70), (Ports{2, 3, 4}));
+}
+
+// A late duplicate that extends the held statement is as stale as any other
+// old statement: it changes nothing, and the next statement is still read
+// against the one held before it.
+TEST(AdvertiseRx, StaleExtensionChangesNothing) {
+  RecorderAbove fabric;
+  fabric.ack_offers();
+  fabric.advertise(4, 10, {"11.1.4", "50.1.2"});
+  const std::string before = fabric.state();
+
+  fabric.advertise(4, 9, {"11.1.4", "50.1.2", "60.1.2"});
+  EXPECT_EQ(fabric.state(), before);
+
+  fabric.advertise(4, 11, {"11.1.4", "50.1.2", "60.1.2", "70.1.2"});
+  for (const std::uint16_t root : std::initializer_list<std::uint16_t>{50, 60, 70}) {
+    EXPECT_EQ(fabric.spine->eligible_up_ports(root), (Ports{4})) << root;
+  }
 }
 
 // Routers encode their VID list once per table change and reuse the bytes
