@@ -59,8 +59,6 @@ void ShardedFabric::attach(net::Network& network) {
   const std::uint32_t n = shard_count();
   std::vector<sim::Duration> pair_la(static_cast<std::size_t>(n) * n,
                                      sim::Duration{});
-  bool any_cross = false;
-  sim::Duration min_cross{};
   for (const auto& link : network.links()) {
     const std::uint32_t sa = link->a().owner().ctx().shard;
     const std::uint32_t sb = link->b().owner().ctx().shard;
@@ -70,19 +68,14 @@ void ShardedFabric::attach(net::Network& network) {
       sim::Duration& slot = pair_la[static_cast<std::size_t>(src) * n + dst];
       if (slot <= sim::Duration{} || d < slot) slot = d;
     }
-    if (!any_cross || d < min_cross) min_cross = d;
-    any_cross = true;
   }
-  lookahead_ = any_cross ? min_cross : sim::Duration::micros(5);
 
   std::vector<sim::Scheduler*> scheds;
   scheds.reserve(ctxs_.size());
   for (auto& c : ctxs_) scheds.push_back(&c->sched);
-  sim::ShardedEngine::Options opts;
-  opts.lookahead = lookahead_;
-  if (n > 1) opts.pair_lookahead = std::move(pair_la);
-  engine_ = std::make_unique<sim::ShardedEngine>(std::move(scheds),
-                                                 std::move(opts));
+  engine_ = std::make_unique<sim::ShardedEngine>(
+      std::move(scheds),
+      sim::ShardedEngine::Options{.pair_lookahead = std::move(pair_la)});
   for (std::uint32_t s = 0; s < ctxs_.size(); ++s) {
     ctxs_[s]->bus = &engine_->bus();
   }

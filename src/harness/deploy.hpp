@@ -66,7 +66,6 @@ class ShardedFabric {
   topo::ShardPlan plan_;
   std::vector<std::unique_ptr<net::SimContext>> ctxs_;
   std::unique_ptr<sim::ShardedEngine> engine_;
-  sim::Duration lookahead_ = sim::Duration::micros(5);
 };
 
 enum class Proto : std::uint8_t { kMtp, kBgp, kBgpBfd };

@@ -454,7 +454,7 @@ void MtpRouter::neighbor_down(std::uint32_t p) {
 
   if (!lost.empty()) ++stats_.table_changes_local;
   if (on_neighbor_down) on_neighbor_down(ctx_.now(), p);
-  process_vid_loss(lost, /*from_update=*/false);
+  process_vid_loss(lost);
 
   // Losing an uplink can sever the default route entirely (wildcard) and
   // strand roots that were only reachable upward.
@@ -731,9 +731,7 @@ void MtpRouter::handle_join_offer(std::uint32_t p, const JoinOfferMsg& msg) {
 
 // ----------------------------------------------------------- failure plane
 
-void MtpRouter::process_vid_loss(const std::vector<VidEntry>& lost,
-                                 bool from_update) {
-  (void)from_update;
+void MtpRouter::process_vid_loss(const std::vector<VidEntry>& lost) {
   if (lost.empty()) return;
 
   std::vector<Vid> lost_vids;
@@ -817,12 +815,6 @@ void MtpRouter::update_reachability(const std::set<std::uint16_t>& roots) {
 // ---------------------------------------------- withdrawal-storm containment
 
 void MtpRouter::queue_withdraw(std::uint32_t p, const std::vector<Vid>& vids) {
-  if (config_.timers.update_min_interval <= sim::Duration{}) {
-    VidWithdrawMsg m;
-    m.vids = vids;
-    send_reliable(p, m);
-    return;
-  }
   PortState& s = pstate(p);
   for (const Vid& v : vids) {
     if (!s.pending_withdraw.insert(v).second) ++stats_.updates_deduped;
@@ -833,18 +825,6 @@ void MtpRouter::queue_withdraw(std::uint32_t p, const std::vector<Vid>& vids) {
 void MtpRouter::queue_reach_update(std::uint32_t p,
                                    const std::vector<std::uint16_t>& roots,
                                    bool unreach) {
-  if (config_.timers.update_min_interval <= sim::Duration{}) {
-    if (unreach) {
-      DestUnreachMsg m;
-      m.roots = roots;
-      send_reliable(p, m);
-    } else {
-      DestClearMsg m;
-      m.roots = roots;
-      send_reliable(p, m);
-    }
-    return;
-  }
   PortState& s = pstate(p);
   auto& add = unreach ? s.pending_unreach : s.pending_clear;
   auto& opposite = unreach ? s.pending_clear : s.pending_unreach;
@@ -926,7 +906,7 @@ void MtpRouter::handle_withdraw(std::uint32_t p, const VidWithdrawMsg& msg) {
   if (removed.empty()) return;
 
   ++stats_.table_changes_remote;
-  process_vid_loss(removed, /*from_update=*/true);
+  process_vid_loss(removed);
 }
 
 void MtpRouter::handle_dest_unreach(std::uint32_t p, const DestUnreachMsg& msg) {

@@ -308,9 +308,12 @@ class MtpRouter : public net::Node {
   bool for_each_advertisable(Fn&& fn) const;
 
   // --- failure updates ---
-  /// Origination points route through these instead of send_reliable so a
-  /// burst of failures inside `update_min_interval` collapses into one
-  /// message per port per type (withdrawal-storm containment).
+  /// Every failure update is originated through these, never by a direct
+  /// send_reliable, so a burst of failures inside `update_min_interval`
+  /// collapses into one message per port per type (withdrawal-storm
+  /// containment). With a zero interval each call flushes at once. Callers
+  /// pass sorted, unique lists and alive ports, so the flush sends exactly
+  /// the list given.
   void queue_withdraw(std::uint32_t port, const std::vector<Vid>& vids);
   void queue_reach_update(std::uint32_t port,
                           const std::vector<std::uint16_t>& roots,
@@ -322,7 +325,7 @@ class MtpRouter : public net::Node {
   void handle_dest_clear(std::uint32_t port, const DestClearMsg& msg);
   /// Withdraws children derived from `lost` upward, then refreshes
   /// reachability advertisements for the affected roots.
-  void process_vid_loss(const std::vector<VidEntry>& lost, bool from_update);
+  void process_vid_loss(const std::vector<VidEntry>& lost);
   [[nodiscard]] bool reachable(std::uint16_t root) const;
   void update_reachability(const std::set<std::uint16_t>& roots);
 

@@ -9,10 +9,8 @@
 
 namespace mrmtp::net {
 
-Link::Link(SimContext& ctx, Port& a, Port& b, Params params)
-    : a_(&a), b_(&b), params_(params), stats_(&ctx.stats.alloc_link()) {
-  // Endpoint contexts are authoritative for scheduling; `ctx` (the wiring
-  // context) owns this link's slab-allocated counters.
+Link::Link(Port& a, Port& b, Params params)
+    : a_(&a), b_(&b), params_(params) {
   if (a.link_ != nullptr || b.link_ != nullptr) {
     throw std::logic_error("Link: port already wired (" + a.str() + " / " +
                            b.str() + ")");
@@ -122,12 +120,9 @@ void Link::transmit(Port& from, Frame frame) {
   from.tx_stats().record(frame);
 
   int dir = static_cast<int>(direction);
-  if (SwitchBuffer* sb = from.owner().switch_buffer()) {
-    transmit_buffered(dir, std::move(frame), *sb);
-    return;
-  }
-  if (params_.priority_queues) {
-    transmit_priority(dir, std::move(frame));
+  SwitchBuffer* sb = from.owner().switch_buffer();
+  if (sb != nullptr || params_.priority_queues) {
+    transmit_banded(dir, std::move(frame), sb);
     return;
   }
 
@@ -150,9 +145,10 @@ void Link::transmit(Port& from, Frame frame) {
   serialize_and_send(dir, std::move(frame), ser);
 }
 
-void Link::transmit_priority(int dir, Frame frame) {
+void Link::transmit_banded(int dir, Frame frame, SwitchBuffer* sb) {
   DirStats& dstats = dir_stats(static_cast<Dir>(dir));
   bool control = is_control_class(frame.traffic_class);
+  int band = control ? kControlBand : kDataBand;
   sim::Duration ser = ser_time(frame);
 
   sim::Time now = send_ctx(dir).now();
@@ -160,10 +156,12 @@ void Link::transmit_priority(int dir, Frame frame) {
       busy_until_[dir] > now ? busy_until_[dir] - now : sim::Duration{};
 
   // Fast path: idle transmitter and empty bands behave exactly like the
-  // shared FIFO — one delivery event per frame, no queue churn. This is what
-  // keeps steady-state event throughput unchanged by the priority feature.
+  // shared FIFO — one delivery event per frame, no queue churn, which keeps
+  // steady-state event throughput unchanged by banding — and hold no buffer
+  // (cut-through approximation: occupancy counts queued frames). A PAUSE
+  // only stops the data band, so control ignores paused_.
   if (residual <= sim::Duration{} && bands_[dir][kControlBand].empty() &&
-      bands_[dir][kDataBand].empty()) {
+      bands_[dir][kDataBand].empty() && (control || !paused_[dir])) {
     serialize_and_send(dir, std::move(frame), ser);
     return;
   }
@@ -180,121 +178,61 @@ void Link::transmit_priority(int dir, Frame frame) {
     if (control) ++dstats.dropped_queue_control;
     return;
   }
+
+  auto bytes = static_cast<std::uint32_t>(frame.padded_wire_size());
+  std::uint32_t charged = 0;
+  std::uint32_t ingress = 0;
+  if (sb != nullptr) {
+    // The control band keeps its serialization-time carve-out and is never
+    // charged to the data pool — the invariant that keeps hellos/ACKs
+    // deliverable at 100% data occupancy.
+    if (control) {
+      sb->note_ctrl_admitted();
+    } else {
+      Port& from = sender(dir);
+      if (!sb->admit_egress(from.number(), bytes)) {
+        ++dstats.dropped_buffer;
+        return;
+      }
+      charged = bytes;
+      ingress = from.owner().current_rx_port();
+      if (ingress != 0) sb->charge_ingress(ingress, bytes);
+    }
+    std::uint64_t threshold = control ? sb->params().ecn_ctrl_threshold
+                                      : sb->params().ecn_data_threshold;
+    if (threshold > 0 && band_bytes_[dir][band] + bytes > threshold &&
+        mark_ce(frame)) {
+      ++(control ? dstats.ecn_marked_ctrl : dstats.ecn_marked_data);
+      sb->note_ecn_mark();
+    }
+  }
   auto& hw = control ? dstats.control_backlog_hw_ns : dstats.data_backlog_hw_ns;
   hw = std::max(hw, static_cast<std::uint64_t>(wait.ns()));
 
-  int band = control ? kControlBand : kDataBand;
-  band_bytes_[dir][band] += frame.padded_wire_size();
-  bands_[dir][band].push_back(Pending{std::move(frame), ser});
+  band_bytes_[dir][band] += bytes;
+  bands_[dir][band].push_back(Pending{std::move(frame), ser, charged, ingress});
   band_backlog_[dir][band] = band_backlog_[dir][band] + ser;
-  if (!drain_armed_[dir]) {
-    drain_armed_[dir] = true;
-    send_ctx(dir).sched.schedule_at(std::max(now, busy_until_[dir]),
-                                    [this, dir] { drain(dir); });
-  }
+  // While paused, data leaves the drain unarmed; the RESUME (or a later
+  // control frame) re-arms it.
+  if (control || !paused_[dir]) arm_drain(dir);
 }
 
-void Link::transmit_buffered(int dir, Frame frame, SwitchBuffer& sb) {
-  DirStats& dstats = dir_stats(static_cast<Dir>(dir));
-  bool control = is_control_class(frame.traffic_class);
-  sim::Duration ser = ser_time(frame);
-
-  sim::Time now = send_ctx(dir).now();
-  sim::Duration residual =
-      busy_until_[dir] > now ? busy_until_[dir] - now : sim::Duration{};
-  bool idle = residual <= sim::Duration{} &&
-              bands_[dir][kControlBand].empty() &&
-              bands_[dir][kDataBand].empty();
-
-  if (control) {
-    // The control band keeps its serialization-time carve-out from priority
-    // mode and is never charged to the data pool — this is the invariant
-    // that keeps hellos/ACKs deliverable at 100% data occupancy. A PAUSE
-    // only stops the data band, so control also ignores paused_.
-    if (idle) {
-      serialize_and_send(dir, std::move(frame), ser);
-      return;
-    }
-    sim::Duration wait = band_backlog_[dir][kControlBand];
-    if (wait > params_.control_queue) {
-      ++dstats.dropped_queue_full;
-      ++dstats.dropped_queue_control;
-      return;
-    }
-    dstats.control_backlog_hw_ns = std::max(
-        dstats.control_backlog_hw_ns, static_cast<std::uint64_t>(wait.ns()));
-    if (sb.params().ecn_ctrl_threshold > 0 &&
-        band_bytes_[dir][kControlBand] + frame.padded_wire_size() >
-            sb.params().ecn_ctrl_threshold &&
-        mark_ce(frame)) {
-      ++dstats.ecn_marked_ctrl;
-      sb.note_ecn_mark();
-    }
-    sb.note_ctrl_admitted();
-    band_bytes_[dir][kControlBand] += frame.padded_wire_size();
-    bands_[dir][kControlBand].push_back(Pending{std::move(frame), ser});
-    band_backlog_[dir][kControlBand] =
-        band_backlog_[dir][kControlBand] + ser;
-    if (!drain_armed_[dir]) {
-      drain_armed_[dir] = true;
-      send_ctx(dir).sched.schedule_at(std::max(now, busy_until_[dir]),
-                                      [this, dir] { drain(dir); });
-    }
-    return;
-  }
-
-  // Data. Fast path only while unpaused: one delivery event, no buffer held
-  // (cut-through approximation — occupancy counts queued frames).
-  if (idle && !paused_[dir]) {
-    serialize_and_send(dir, std::move(frame), ser);
-    return;
-  }
-  sim::Duration wait = residual + band_backlog_[dir][kControlBand] +
-                       band_backlog_[dir][kDataBand];
-  if (wait > params_.max_queue) {
-    ++dstats.dropped_queue_full;
-    return;
-  }
-  auto bytes = static_cast<std::uint32_t>(frame.padded_wire_size());
-  Port& from = sender(dir);
-  if (!sb.admit_egress(from.number(), bytes)) {
-    ++dstats.dropped_buffer;
-    return;
-  }
-  std::uint32_t ingress = from.owner().current_rx_port();
-  if (ingress != 0) sb.charge_ingress(ingress, bytes);
-  if (sb.params().ecn_data_threshold > 0 &&
-      band_bytes_[dir][kDataBand] + bytes >
-          sb.params().ecn_data_threshold &&
-      mark_ce(frame)) {
-    ++dstats.ecn_marked_data;
-    sb.note_ecn_mark();
-  }
-  dstats.data_backlog_hw_ns = std::max(
-      dstats.data_backlog_hw_ns, static_cast<std::uint64_t>(wait.ns()));
-  band_bytes_[dir][kDataBand] += bytes;
-  bands_[dir][kDataBand].push_back(
-      Pending{std::move(frame), ser, bytes, ingress});
-  band_backlog_[dir][kDataBand] = band_backlog_[dir][kDataBand] + ser;
-  // While paused with nothing else queued, leave the drain unarmed; the
-  // RESUME (or a later control frame) re-arms it.
-  if (!drain_armed_[dir] && !paused_[dir]) {
-    drain_armed_[dir] = true;
-    send_ctx(dir).sched.schedule_at(std::max(now, busy_until_[dir]),
-                                    [this, dir] { drain(dir); });
-  }
+void Link::arm_drain(int dir) {
+  if (drain_armed_[dir]) return;
+  drain_armed_[dir] = true;
+  SimContext& ctx = send_ctx(dir);
+  ctx.sched.schedule_at(std::max(ctx.now(), busy_until_[dir]),
+                        [this, dir] { drain(dir); });
 }
 
 void Link::drain(int dir) {
+  drain_armed_[dir] = false;
   int band =
       !bands_[dir][kControlBand].empty() ? kControlBand : kDataBand;
   auto& q = bands_[dir][band];
   // Defensive empty check; a PAUSEd data band with no control waiting also
   // parks the drain (the RESUME re-arms it).
-  if (q.empty() || (band == kDataBand && paused_[dir])) {
-    drain_armed_[dir] = false;
-    return;
-  }
+  if (q.empty() || (band == kDataBand && paused_[dir])) return;
   Pending p = std::move(q.front());
   q.pop_front();
   band_backlog_[dir][band] = band_backlog_[dir][band] - p.ser;
@@ -309,13 +247,9 @@ void Link::drain(int dir) {
       if (p.ingress != 0) sb->release_ingress(p.ingress, p.charged);
     }
   }
-  bool more = !bands_[dir][kControlBand].empty() ||
-              (!paused_[dir] && !bands_[dir][kDataBand].empty());
-  if (more) {
-    send_ctx(dir).sched.schedule_at(busy_until_[dir],
-                                    [this, dir] { drain(dir); });
-  } else {
-    drain_armed_[dir] = false;
+  if (!bands_[dir][kControlBand].empty() ||
+      (!paused_[dir] && !bands_[dir][kDataBand].empty())) {
+    arm_drain(dir);
   }
 }
 
@@ -411,16 +345,12 @@ void Link::apply_flow_control(int delivery_dir, const Frame& frame) {
   ++dstats.pause_rx;
   dstats.pause_ns += static_cast<std::uint64_t>(
       (send_ctx(pd).now() - pause_start_[pd]).ns());
-  if (!bands_[pd][kDataBand].empty() && !drain_armed_[pd]) {
-    drain_armed_[pd] = true;
-    sim::Time at = std::max(send_ctx(pd).now(), busy_until_[pd]);
-    send_ctx(pd).sched.schedule_at(at, [this, pd] { drain(pd); });
-  }
+  if (!bands_[pd][kDataBand].empty()) arm_drain(pd);
 }
 
 std::uint64_t Link::pause_ns_total(Dir dir) const {
   int d = static_cast<int>(dir);
-  std::uint64_t ns = stats_->dir(dir).pause_ns;
+  std::uint64_t ns = stats_.dir(dir).pause_ns;
   if (paused_[d]) {
     ns += static_cast<std::uint64_t>(
         (send_ctx(d).now() - pause_start_[d]).ns());

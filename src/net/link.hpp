@@ -8,8 +8,14 @@
 //     model. A link can blackhole or drop a fraction of frames A->B while
 //     B->A stays perfectly healthy (unidirectional optics degradation), and
 //     loss can ramp up over time (a dying transceiver) via ramp_loss().
-// Stats are kept per direction so a one-way failure is visible as an
-// asymmetric drop count.
+// Stats are kept per direction, in the link itself, so a one-way failure is
+// visible as an asymmetric drop count.
+//
+// Egress has two admission paths. The shared FIFO tail-drops on
+// serialization backlog. The banded path serves a strict-priority control
+// band ahead of data and holds the data band while the peer PAUSEs it; a
+// sender runs it when `priority_queues` is set or its node has a
+// SwitchBuffer, which adds pool and ingress charging and ECN marking.
 #pragma once
 
 #include <cstdint>
@@ -72,13 +78,12 @@ class Link {
     sim::Duration ramp_over{};
   };
 
-  /// Per-direction delivery/drop counters and the two-direction aggregate.
-  /// The structs live in net/stats.hpp so the per-context StatsArena can
-  /// slab-allocate them (SoA hot state); the old nested names stay valid.
+  /// Per-direction delivery/drop counters and the two-direction aggregate,
+  /// held by the link itself (net/stats.hpp; the nested names stay valid).
   using DirStats = LinkDirStats;
   using Stats = LinkStats;
 
-  Link(SimContext& ctx, Port& a, Port& b, Params params);
+  Link(Port& a, Port& b, Params params);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -136,7 +141,7 @@ class Link {
   [[nodiscard]] Port& b() const { return *b_; }
   [[nodiscard]] Port& other(const Port& p) const { return &p == a_ ? *b_ : *a_; }
   [[nodiscard]] const Params& params() const { return params_; }
-  [[nodiscard]] const Stats& stats() const { return *stats_; }
+  [[nodiscard]] const Stats& stats() const { return stats_; }
   Params& mutable_params() { return params_; }
 
   // --- PFC backpressure state (driven by received kFlowControl frames) ---
@@ -191,13 +196,15 @@ class Link {
   /// loss and duplication applied) and schedules delivery. Shared tail of the
   /// fast path and the band drain.
   void serialize_and_send(int dir, Frame frame, sim::Duration ser);
-  /// Priority-mode admission: fast path when the transmitter is idle,
-  /// otherwise band enqueue with per-class depth limits.
-  void transmit_priority(int dir, Frame frame);
-  /// Finite-buffer admission (the sender node has a SwitchBuffer): priority
-  /// banding plus byte-accurate pool/ingress charging, ECN marking, and
-  /// respect for an active PAUSE on the data band.
-  void transmit_buffered(int dir, Frame frame, SwitchBuffer& sb);
+  /// Banded admission (priority mode, or the sender has a SwitchBuffer):
+  /// fast path when the transmitter is idle, otherwise a strict-priority
+  /// band enqueue with per-class depth limits; an active PAUSE holds the
+  /// data band. With `sb` non-null, data is also charged byte-accurately to
+  /// the pool and its ingress port, and both bands are ECN-marked.
+  void transmit_banded(int dir, Frame frame, SwitchBuffer* sb);
+  /// Schedules a drain at the next transmitter-free instant unless one is
+  /// already armed.
+  void arm_drain(int dir);
   /// Pops the next frame (control band first) onto the transmitter; rearms
   /// itself at the next transmitter-free instant while frames wait.
   void drain(int dir);
@@ -209,7 +216,7 @@ class Link {
     return dir == static_cast<int>(Dir::kAToB) ? *a_ : *b_;
   }
   DirStats& dir_stats(Dir dir) {
-    return dir == Dir::kAToB ? stats_->ab : stats_->ba;
+    return dir == Dir::kAToB ? stats_.ab : stats_.ba;
   }
   [[nodiscard]] sim::Duration ser_time(const Frame& frame) const;
 
@@ -233,8 +240,7 @@ class Link {
   Port* a_;
   Port* b_;
   Params params_;
-  /// Stable pointer into the wiring context's StatsArena slab.
-  Stats* stats_;
+  Stats stats_;
   Impairments impair_[2];
   /// Per-direction private draw streams (see use_stream_rng); empty means
   /// draws come from the sending context's shared rng, the legacy behavior.
@@ -242,8 +248,8 @@ class Link {
   Tap tap_;
   /// Per-direction time the transmitter becomes free (0 = a->b, 1 = b->a).
   sim::Time busy_until_[2];
-  /// Priority-mode waiting rooms: [dir][band]. Empty whenever the analytic
-  /// fast path is in use, so shared-FIFO workloads never touch them.
+  /// Banded waiting rooms: [dir][band]. Empty whenever the analytic fast
+  /// path is in use, so shared-FIFO workloads never touch them.
   std::deque<Pending> bands_[2][2];
   /// Serialization backlog held in each band's deque, [dir][band].
   sim::Duration band_backlog_[2][2];

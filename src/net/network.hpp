@@ -40,7 +40,7 @@ class Network {
   Link& connect(Node& a, Node& b, Link::Params params = {}) {
     Port& pa = a.add_port();
     Port& pb = b.add_port();
-    links_.push_back(std::make_unique<Link>(ctx_, pa, pb, params));
+    links_.push_back(std::make_unique<Link>(pa, pb, params));
     return *links_.back();
   }
 

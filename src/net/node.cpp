@@ -13,12 +13,6 @@ Node::Node(SimContext& ctx, std::string name, std::uint32_t tier)
 
 Node::~Node() = default;
 
-Port::Port(Node& owner, std::uint32_t number)
-    : owner_(&owner),
-      number_(number),
-      tx_(&owner.ctx().stats.alloc_traffic()),
-      rx_(&owner.ctx().stats.alloc_traffic()) {}
-
 MacAddr Port::mac() const { return MacAddr::for_port(owner_->id(), number_); }
 
 Port* Port::peer() const {
@@ -66,7 +60,7 @@ void Node::enable_path_select(util::PathSelect mode,
   path_select_ = mode;
   if (flowlet_gap.ns() > 0) flowlet_gap_ns_ = flowlet_gap.ns();
   if (mode == util::PathSelect::kWcmpFlowlet && flowlets_ == nullptr) {
-    flowlets_ = &ctx_.stats.alloc_flowlets();
+    flowlets_ = std::make_unique<FlowletTable>();
   }
 }
 

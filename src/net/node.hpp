@@ -43,19 +43,13 @@ struct SimContext {
   sim::Rng rng;
   std::uint32_t shard = 0;
   sim::ShardBus* bus = nullptr;
-  /// Slab-backed per-frame counters (SoA hot state): every port and link
-  /// wired on this context allocates its counter block here, so a shard's
-  /// counters are contiguous and whole-fabric stat sweeps are linear scans.
-  StatsArena stats;
 
   [[nodiscard]] sim::Time now() const { return sched.now(); }
 };
 
 class Port {
  public:
-  /// Allocates the port's traffic counters from the owner context's arena
-  /// (defined in node.cpp, after Node).
-  Port(Node& owner, std::uint32_t number);
+  Port(Node& owner, std::uint32_t number) : owner_(&owner), number_(number) {}
 
   Port(const Port&) = delete;
   Port& operator=(const Port&) = delete;
@@ -73,10 +67,10 @@ class Port {
   /// messages, not by peeking.
   [[nodiscard]] Port* peer() const;
 
-  [[nodiscard]] TrafficStats& tx_stats() { return *tx_; }
-  [[nodiscard]] TrafficStats& rx_stats() { return *rx_; }
-  [[nodiscard]] const TrafficStats& tx_stats() const { return *tx_; }
-  [[nodiscard]] const TrafficStats& rx_stats() const { return *rx_; }
+  [[nodiscard]] TrafficStats& tx_stats() { return tx_; }
+  [[nodiscard]] TrafficStats& rx_stats() { return rx_; }
+  [[nodiscard]] const TrafficStats& tx_stats() const { return tx_; }
+  [[nodiscard]] const TrafficStats& rx_stats() const { return rx_; }
 
   [[nodiscard]] std::string str() const;  // "S-1-1:2"
 
@@ -88,9 +82,8 @@ class Port {
   std::uint32_t number_;
   Link* link_ = nullptr;
   bool admin_up_ = true;
-  /// Stable pointers into the owning SimContext's StatsArena slab.
-  TrafficStats* tx_;
-  TrafficStats* rx_;
+  TrafficStats tx_;
+  TrafficStats rx_;
 };
 
 class Node {
@@ -131,7 +124,8 @@ class Node {
   /// Sets the multipath policy `pick_egress` applies. Under kWcmpFlowlet a
   /// flow keeps its egress until it idles for `flowlet_gap` (zero keeps the
   /// 500 µs default: above one 1000 B serialization at 100 Mb/s, below
-  /// PFC-pause stalls); its flowlet table lives in this shard's StatsArena.
+  /// PFC-pause stalls); the first kWcmpFlowlet call creates its flowlet
+  /// table.
   void enable_path_select(util::PathSelect mode, sim::Duration flowlet_gap = {});
   [[nodiscard]] util::PathSelect path_select() const { return path_select_; }
 
@@ -239,7 +233,9 @@ class Node {
   std::uint32_t rx_port_no_ = 0;
   util::PathSelect path_select_ = util::PathSelect::kHrw;
   std::int64_t flowlet_gap_ns_ = 500'000;
-  FlowletTable* flowlets_ = nullptr;  // non-null once kWcmpFlowlet is enabled
+  /// Non-null once kWcmpFlowlet is enabled; owned here, so only this
+  /// node's shard thread touches it.
+  std::unique_ptr<FlowletTable> flowlets_;
 };
 
 }  // namespace mrmtp::net

@@ -1,23 +1,17 @@
-// Slab storage for the per-frame hot counters (SoA hot-state layout).
+// The per-frame hot counters of the net layer, and the one router-side
+// table (flowlets) that lives beside them.
 //
-// Every delivered frame bumps a handful of counters: the link's directional
-// delivery/drop stats and the two ports' traffic tallies. With thousands of
-// routers (64-PoD fabrics) those counters used to live inline in Link/Port
-// objects scattered across the heap, so the per-frame counter writes walked
-// pointer-chased allocations. The SimContext now owns one StatsArena per
-// shard; links and ports allocate their counter blocks from it at wiring
-// time and keep a stable pointer. Blocks are packed into fixed-size chunks
-// (contiguous, never reallocated) in wiring order. The arena only allocates:
-// whole-fabric sweeps (harness::link_totals, the reports) walk
-// Network::links() and read each link's block through that pointer.
-//
-// Per-shard ownership also means a sharded run's counter writes stay on the
-// owning thread's slab pages instead of false-sharing one global array.
+// Each block is held by value by the object it counts: a Port its two
+// TrafficStats tallies, a Link its LinkStats, a SwitchBuffer its
+// SwitchBufferStats, and a Node its FlowletTable (created when flowlet
+// switching is enabled). There is no shared store: every counter write
+// lands in the sending or receiving entity's own object, on the shard that
+// runs it. Whole-fabric sweeps (harness::link_totals, the reports) walk
+// Network::links() and read each link's block through Link::stats().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "net/frame.hpp"
 
@@ -81,11 +75,12 @@ struct LinkDirStats {
     return dropped_link_down + dropped_dst_down + dropped_impairment +
            dropped_blackhole + dropped_queue_full + dropped_buffer;
   }
+
+  bool operator==(const LinkDirStats&) const = default;
 };
 
 /// Both directions plus whole-link aggregates (the pre-gray-failure API).
-/// Direction 0 is a() -> b() — `Link::Dir` casts to the right index, but the
-/// struct lives here (below the Link class) so the arena can store it.
+/// Direction 0 is a() -> b() — `Link::Dir` casts to the right index.
 struct LinkStats {
   LinkDirStats ab;  // a() -> b()
   LinkDirStats ba;  // b() -> a()
@@ -113,8 +108,8 @@ struct LinkStats {
 /// probe run; when the run is full the stalest slot (oldest last_ns) is
 /// evicted. Losing a slot is always safe — the evicted flow simply re-draws
 /// its weighted choice on its next packet, exactly as if its idle gap had
-/// expired. Lives in the per-shard StatsArena, so accesses are single-thread
-/// by construction (TSan-clean under the async sharded engine).
+/// expired. Owned by its router, so only that router's shard thread touches
+/// it (TSan-clean under the async sharded engine).
 struct FlowletTable {
   struct Slot {
     std::uint64_t key = 0;      // mixed flow hash; 0 only while unused
@@ -141,8 +136,7 @@ struct FlowletTable {
   }
 };
 
-/// Occupancy / admission counters of one switch's shared egress buffer,
-/// slab-allocated in the StatsArena like every other per-frame-hot block.
+/// Occupancy / admission counters of one switch's shared egress buffer.
 /// Occupancy is accounted per class: the control band keeps its own
 /// serialization-time carve-out and is never charged to the data pool, so
 /// `ctrl_admitted` counts frames, not pool bytes.
@@ -155,44 +149,6 @@ struct SwitchBufferStats {
   std::uint64_t resume_onsets = 0;       // XON transitions signalled
   std::uint64_t occupancy_hw = 0;        // pool-occupancy high-water (bytes)
   std::uint64_t port_occupancy_hw = 0;   // worst single egress port (bytes)
-};
-
-/// Chunked slab of T: stable addresses (chunks never move), contiguous
-/// storage within a chunk, in allocation order. alloc() is the only
-/// accessor; blocks live until the arena does (wiring is append-only).
-template <typename T>
-class StatsSlab {
- public:
-  static constexpr std::size_t kChunk = 256;
-
-  T& alloc() {
-    if (count_ % kChunk == 0) {
-      chunks_.push_back(std::make_unique<T[]>(kChunk));
-    }
-    T& slot = chunks_[count_ / kChunk][count_ % kChunk];
-    ++count_;
-    return slot;
-  }
-
- private:
-  std::vector<std::unique_ptr<T[]>> chunks_;
-  std::size_t count_ = 0;
-};
-
-/// One per SimContext (i.e. one per shard): the counter blocks of every
-/// link and port wired on that shard's context.
-class StatsArena {
- public:
-  TrafficStats& alloc_traffic() { return traffic_.alloc(); }
-  LinkStats& alloc_link() { return links_.alloc(); }
-  SwitchBufferStats& alloc_buffer() { return buffers_.alloc(); }
-  FlowletTable& alloc_flowlets() { return flowlets_.alloc(); }
-
- private:
-  StatsSlab<TrafficStats> traffic_;
-  StatsSlab<LinkStats> links_;
-  StatsSlab<SwitchBufferStats> buffers_;
-  StatsSlab<FlowletTable> flowlets_;  // allocated only when flowlets enabled
 };
 
 }  // namespace mrmtp::net

@@ -10,8 +10,7 @@ namespace mrmtp::net {
 SwitchBuffer::SwitchBuffer(Node& owner, const Params& params)
     : owner_(&owner),
       params_(params),
-      effective_pool_(params.pool_bytes),
-      stats_(&owner.ctx().stats.alloc_buffer()) {}
+      effective_pool_(params.pool_bytes) {}
 
 SwitchBuffer::PortState& SwitchBuffer::state(std::uint32_t port_no) {
   if (port_no >= ports_.size()) ports_.resize(port_no + 1);
@@ -25,7 +24,7 @@ bool SwitchBuffer::ingress_paused(std::uint32_t port_no) const {
 bool SwitchBuffer::admit_egress(std::uint32_t port_no, std::uint64_t bytes) {
   PortState& ps = state(port_no);
   if (pool_used_ + bytes > effective_pool_) {
-    ++stats_->dropped;
+    ++stats_.dropped;
     return false;
   }
   if (params_.dt_alpha > 0) {
@@ -34,16 +33,16 @@ bool SwitchBuffer::admit_egress(std::uint32_t port_no, std::uint64_t bytes) {
                static_cast<std::uint64_t>(params_.dt_alpha *
                                           static_cast<double>(free));
     if (ps.egress_bytes + bytes > cap) {
-      ++stats_->dropped;
+      ++stats_.dropped;
       return false;
     }
   }
   ps.egress_bytes += bytes;
   pool_used_ += bytes;
-  ++stats_->data_admitted;
-  stats_->occupancy_hw = std::max(stats_->occupancy_hw, pool_used_);
-  stats_->port_occupancy_hw =
-      std::max(stats_->port_occupancy_hw, ps.egress_bytes);
+  ++stats_.data_admitted;
+  stats_.occupancy_hw = std::max(stats_.occupancy_hw, pool_used_);
+  stats_.port_occupancy_hw =
+      std::max(stats_.port_occupancy_hw, ps.egress_bytes);
   return true;
 }
 
@@ -59,7 +58,7 @@ void SwitchBuffer::charge_ingress(std::uint32_t port_no, std::uint64_t bytes) {
   ps.ingress_bytes += bytes;
   if (!ps.paused_peer && ps.ingress_bytes >= params_.pfc_xoff_bytes) {
     ps.paused_peer = true;
-    ++stats_->pause_onsets;
+    ++stats_.pause_onsets;
     signal(port_no, true);
   }
 }
@@ -70,7 +69,7 @@ void SwitchBuffer::release_ingress(std::uint32_t port_no, std::uint64_t bytes) {
   ps.ingress_bytes -= std::min(bytes, ps.ingress_bytes);
   if (ps.paused_peer && ps.ingress_bytes <= params_.pfc_xon_bytes) {
     ps.paused_peer = false;
-    ++stats_->resume_onsets;
+    ++stats_.resume_onsets;
     signal(port_no, false);
   }
 }

@@ -81,8 +81,8 @@ class SwitchBuffer {
   void charge_ingress(std::uint32_t port_no, std::uint64_t bytes);
   void release_ingress(std::uint32_t port_no, std::uint64_t bytes);
 
-  void note_ctrl_admitted() { ++stats_->ctrl_admitted; }
-  void note_ecn_mark() { ++stats_->ecn_marked; }
+  void note_ctrl_admitted() { ++stats_.ctrl_admitted; }
+  void note_ecn_mark() { ++stats_.ecn_marked; }
 
   /// Chaos hook (kBufferSqueeze): shrinks the effective pool to
   /// `frac * pool_bytes` (floor 1). Already-buffered bytes stay; only new
@@ -91,7 +91,7 @@ class SwitchBuffer {
   void restore();
 
   [[nodiscard]] const Params& params() const { return params_; }
-  [[nodiscard]] const Stats& stats() const { return *stats_; }
+  [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::uint64_t pool_used() const { return pool_used_; }
   [[nodiscard]] std::uint64_t effective_pool() const { return effective_pool_; }
   [[nodiscard]] bool exhausted() const { return pool_used_ >= effective_pool_; }
@@ -118,8 +118,7 @@ class SwitchBuffer {
   /// Indexed by 1-based port number; grown on demand (live expansion can
   /// wire ports after the buffer is enabled).
   std::vector<PortState> ports_;
-  /// Slab-allocated in the owning context's StatsArena.
-  Stats* stats_;
+  Stats stats_;
 };
 
 /// Sets the IPv4 ECN field of the frame's (possibly encapsulated) IP header

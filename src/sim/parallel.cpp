@@ -130,9 +130,9 @@ struct ShardedEngine::SyncState {
   SyncState(std::ptrdiff_t n, DetectStep step) : park(n), check(n, step) {}
 };
 
-ShardedEngine::ShardedEngine(std::vector<Scheduler*> shards, Options options)
+ShardedEngine::ShardedEngine(std::vector<Scheduler*> shards,
+                             const Options& options)
     : shards_(std::move(shards)),
-      options_(std::move(options)),
       bus_(static_cast<std::uint32_t>(shards_.size())),
       min_ns_(new std::atomic<std::int64_t>[shards_.size()]),
       shard_stalls_(shards_.size(), 0),
@@ -148,30 +148,22 @@ ShardedEngine::ShardedEngine(std::vector<Scheduler*> shards, Options options)
   const std::size_t n = shards_.size();
   for (std::size_t i = 0; i < n; ++i) min_ns_[i].store(kNoneNs);
 
-  // Direct per-pair lookahead (uniform fallback), then the transitive
-  // closure. The closure is what makes m_i + la*(i,j) a bound on MULTI-HOP
-  // arrivals: without it, a chain k -> i -> j with a cheap two-hop path
-  // could deliver below a horizon computed from direct links only, and the
-  // diagonal la*(j,j) — the cheapest round trip through other shards — is
-  // the binding constraint for a shard whose neighbors are all idle.
-  if (!options_.pair_lookahead.empty() &&
-      options_.pair_lookahead.size() != n * n) {
+  // Direct per-pair lookahead, then the transitive closure. The closure is
+  // what makes m_i + la*(i,j) a bound on MULTI-HOP arrivals: without it, a
+  // chain k -> i -> j with a cheap two-hop path could deliver below a
+  // horizon computed from direct links only, and the diagonal la*(j,j) —
+  // the cheapest round trip through other shards — is the binding
+  // constraint for a shard whose neighbors are all idle.
+  const std::vector<Duration>& direct = options.pair_lookahead;
+  if (!direct.empty() && direct.size() != n * n) {
     throw std::invalid_argument(
         "ShardedEngine: pair_lookahead must be shards^2 entries");
   }
   closure_ns_.assign(n * n, kNoneNs);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      Duration d = options_.pair_lookahead.empty()
-                       ? (i == j ? Duration{} : options_.lookahead)
-                       : options_.pair_lookahead[i * n + j];
-      if (i != j && d > Duration{}) closure_ns_[i * n + j] = d.ns();
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    if (i / n != i % n && direct[i] > Duration{}) {
+      closure_ns_[i] = direct[i].ns();
     }
-  }
-  if (options_.pair_lookahead.empty() && n > 1 &&
-      options_.lookahead <= Duration{}) {
-    throw std::invalid_argument(
-        "ShardedEngine: sharded runs need positive lookahead");
   }
   for (std::size_t k = 0; k < n; ++k) {
     for (std::size_t i = 0; i < n; ++i) {

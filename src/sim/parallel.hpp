@@ -184,14 +184,11 @@ class ShardBus {
 class ShardedEngine {
  public:
   struct Options {
-    /// Uniform fallback: minimum propagation delay over every inter-shard
-    /// link, used for every directed pair when `pair_lookahead` is empty.
-    Duration lookahead = Duration::micros(5);
     /// Per-directed-pair minimum link delay, row-major [src * n + dst].
     /// Entries <= 0 mean "no direct links src -> dst" (no constraint; the
     /// engine closes the matrix transitively so multi-hop paths still
-    /// bound arrivals). The sharded Deployment computes this from the wired
-    /// topology instead of trusting a default.
+    /// bound arrivals); empty means no pair has any. The sharded Deployment
+    /// computes this from the wired topology.
     std::vector<Duration> pair_lookahead;
   };
 
@@ -208,7 +205,7 @@ class ShardedEngine {
     std::uint64_t mailbox_high_water = 0;
   };
 
-  ShardedEngine(std::vector<Scheduler*> shards, Options options);
+  ShardedEngine(std::vector<Scheduler*> shards, const Options& options);
 
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
@@ -243,7 +240,6 @@ class ShardedEngine {
   void run_single(Time deadline);
 
   std::vector<Scheduler*> shards_;
-  Options options_;
   ShardBus bus_;
   Stats stats_;
 

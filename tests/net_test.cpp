@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
+#include "net/switch_buffer.hpp"
 
 namespace mrmtp::net {
 namespace {
@@ -184,6 +185,77 @@ TEST_F(LinkTest, TrafficStatsAccumulatePerClass) {
   EXPECT_EQ(b_->port(1).rx_stats().total().frames, 2u);
 }
 
+// Priority mode and a switch buffer that never refuses, marks or pauses
+// must be one egress path: a data burst followed by control frames leaves
+// both links in the same order, at the same instants, with the same
+// counters — the control frames overtaking the queued data in both.
+TEST(BandedEgressTest, PriorityModeMatchesAnInertSwitchBuffer) {
+  struct Run {
+    std::vector<std::pair<std::uint8_t, std::int64_t>> arrivals;  // (id, ns)
+    LinkDirStats ab;
+    SwitchBufferStats buffer;
+  };
+  auto run = [](bool switch_buffer) {
+    SimContext ctx(7);
+    Network network(ctx);
+    auto& a = network.add_node<SinkNode>("a", 1);
+    auto& b = network.add_node<SinkNode>("b", 2);
+    Link& link = network.connect(
+        a, b,
+        {.delay = sim::Duration::micros(2),
+         .bandwidth_bps = 1'000'000'000,
+         .priority_queues = !switch_buffer});
+    if (switch_buffer) {
+      a.enable_switch_buffer({.pool_bytes = 1u << 30,
+                              .dt_alpha = 0.0,
+                              .ecn_data_threshold = 0,
+                              .ecn_ctrl_threshold = 0,
+                              .pfc_xoff_bytes = 0});
+    }
+    std::uint8_t id = 0;
+    auto send = [&](std::size_t size, TrafficClass tc) {
+      Frame f = make_frame(size, tc);
+      f.payload.mutable_data()[0] = id++;
+      a.transmit(a.port(1), std::move(f));
+    };
+    for (int i = 0; i < 6; ++i) send(1000, TrafficClass::kMtpData);
+    for (int i = 0; i < 3; ++i) send(1, TrafficClass::kMtpHello);
+    send(200, TrafficClass::kMtpControl);
+    // Once the link is idle again, a control frame takes the fast path and
+    // a data frame queues behind it.
+    ctx.sched.schedule_at(sim::Time::zero() + sim::Duration::millis(1), [&] {
+      send(1, TrafficClass::kMtpHello);
+      send(1000, TrafficClass::kMtpData);
+    });
+    ctx.sched.run();
+
+    Run r;
+    for (const auto& arr : b.arrivals) {
+      r.arrivals.emplace_back(arr.frame.payload[0], arr.at.ns());
+    }
+    r.ab = link.stats().ab;
+    if (switch_buffer) r.buffer = a.switch_buffer()->stats();
+    return r;
+  };
+  const Run prio = run(false);
+  const Run buffered = run(true);
+
+  // The first data frame takes the idle fast path; the four control frames
+  // (ids 6-9) go out right behind it, ahead of the five queued data frames.
+  std::vector<std::uint8_t> order;
+  for (const auto& [id, at] : prio.arrivals) order.push_back(id);
+  EXPECT_EQ(order, (std::vector<std::uint8_t>{0, 6, 7, 8, 9, 1, 2, 3, 4, 5,
+                                              10, 11}));
+  EXPECT_EQ(prio.arrivals, buffered.arrivals);
+  EXPECT_EQ(prio.ab, buffered.ab);
+  EXPECT_EQ(prio.ab.delivered, 12u);
+  EXPECT_GT(prio.ab.data_backlog_hw_ns, 0u);
+  EXPECT_GT(prio.ab.control_backlog_hw_ns, 0u);
+  // The buffered run really took the buffer's admission steps.
+  EXPECT_EQ(buffered.buffer.data_admitted, 6u);
+  EXPECT_EQ(buffered.buffer.ctrl_admitted, 4u);
+}
+
 TEST(NodeTest, PortNumbersAreOneBasedInCreationOrder) {
   SimContext ctx(1);
   Network network(ctx);
@@ -244,7 +316,7 @@ TEST(NetworkTest, DoubleWiringAPortThrows) {
   network.connect(x, y);
   Port& used = x.port(1);
   Port& fresh = z.add_port();
-  EXPECT_THROW(Link(ctx, used, fresh, {}), std::logic_error);
+  EXPECT_THROW(Link(used, fresh, {}), std::logic_error);
 }
 
 TEST(FrameTest, SerializeLayout) {

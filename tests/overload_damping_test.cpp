@@ -196,6 +196,16 @@ TEST_F(MtpAsymTest, DampingSuppressesFlapperUntilPenaltyDecays) {
 
 // ---------------------------------------------------- mtp update batching
 
+// Fails every leaf-facing port of spine `r` in the same instant.
+void fail_leaf_ports(mtp::MtpRouter& r) {
+  for (std::uint32_t p = 1; p <= r.port_count(); ++p) {
+    const net::Port* peer = r.port(p).peer();
+    if (peer != nullptr && peer->owner().name().starts_with("L-")) {
+      r.set_interface_down(p);
+    }
+  }
+}
+
 TEST(MtpUpdateBatching, SimultaneousVidLossesShareTheInterval) {
   net::SimContext ctx(7);
   topo::ClosBlueprint bp(topo::ClosParams::paper_2pod());
@@ -212,14 +222,32 @@ TEST(MtpUpdateBatching, SimultaneousVidLossesShareTheInterval) {
   std::uint32_t spine = dep.blueprint().device_index("S-1-1");
   mtp::MtpRouter& r = dep.mtp(spine);
   std::uint64_t batched_before = r.mtp_stats().updates_batched;
-  for (std::uint32_t p = 1; p <= dep.router(spine).port_count(); ++p) {
-    const net::Port* peer = dep.router(spine).port(p).peer();
-    if (peer != nullptr && peer->owner().name().starts_with("L-")) {
-      r.set_interface_down(p);
-    }
-  }
+  fail_leaf_ports(r);
   ctx.sched.run_until(ctx.now() + sim::Duration::millis(200));
   EXPECT_GT(r.mtp_stats().updates_batched, batched_before);
+}
+
+// With the default zero interval the same failure leaves through the same
+// queue, flushed at once: nothing is deferred or absorbed, yet the failure
+// updates still go out.
+TEST(MtpUpdateBatching, ZeroIntervalFlushesAtOnce) {
+  net::SimContext ctx(7);
+  topo::ClosBlueprint bp(topo::ClosParams::paper_2pod());
+  harness::Deployment dep(ctx, bp, harness::Proto::kMtp, {});
+  dep.start();
+  ctx.sched.run_until(sim::Time::zero() + sim::Duration::seconds(3));
+  ASSERT_TRUE(dep.converged());
+
+  std::uint32_t spine = dep.blueprint().device_index("S-1-1");
+  mtp::MtpRouter& r = dep.mtp(spine);
+  std::uint64_t sent_before = r.mtp_stats().updates_sent;
+  fail_leaf_ports(r);
+  ctx.sched.run_until(ctx.now() + sim::Duration::millis(200));
+  EXPECT_GT(r.mtp_stats().updates_sent, sent_before);
+  for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
+    EXPECT_EQ(dep.mtp(d).mtp_stats().updates_batched, 0u) << d;
+    EXPECT_EQ(dep.mtp(d).mtp_stats().updates_deduped, 0u) << d;
+  }
 }
 
 // ------------------------------------------------------------ bgp damping

@@ -57,6 +57,11 @@ TEST(ShardBus, PostBelowSafeFloorThrows) {
   EXPECT_NO_THROW(bus.post(0, 1, Time::from_ns(1000), 0, [] {}));
 }
 
+// Two shards joined by 5 us links both ways (the diagonal is unused).
+const sim::ShardedEngine::Options kTwoShards5us{
+    .pair_lookahead = {Duration{}, Duration::micros(5), Duration::micros(5),
+                       Duration{}}};
+
 TEST(ShardedEngine, SingleShardRunsInline) {
   sim::Scheduler sched;
   int fired = 0;
@@ -70,8 +75,7 @@ TEST(ShardedEngine, SingleShardRunsInline) {
 TEST(ShardedEngine, CrossShardPingPongRespectsLookahead) {
   sim::Scheduler a;
   sim::Scheduler b;
-  sim::ShardedEngine engine({&a, &b},
-                            {.lookahead = Duration::micros(5), .pair_lookahead = {}});
+  sim::ShardedEngine engine({&a, &b}, kTwoShards5us);
   std::vector<std::pair<int, std::int64_t>> log;  // (shard, fired at ns)
 
   // a -> b -> a -> ... each hop one lookahead later, like frames bouncing
@@ -103,7 +107,7 @@ TEST(ShardedEngine, CrossShardPingPongRespectsLookahead) {
 TEST(ShardedEngine, RepeatedRunUntilResumes) {
   sim::Scheduler a;
   sim::Scheduler b;
-  sim::ShardedEngine engine({&a, &b}, {});
+  sim::ShardedEngine engine({&a, &b}, kTwoShards5us);
   int fired = 0;
   a.schedule_at(Time::from_ns(10), [&] { ++fired; });
   b.schedule_at(Time::from_ns(2000), [&] { ++fired; });
