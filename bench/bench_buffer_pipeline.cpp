@@ -47,6 +47,8 @@ int main() {
     ctx.sched.run_until(sim::Time::from_ns(sim::Duration::millis(3500).ns()));
 
     auto& pool = net::BufferPool::instance();
+    // Restart the high-water at the slabs live now, so it covers the window.
+    pool.reset_stats();
     const net::BufferPoolStats before = pool.stats();
     const std::uint64_t sent_before = src.packets_sent();
     ctx.sched.run_until(sim::Time::from_ns(sim::Duration::millis(4500).ns()));

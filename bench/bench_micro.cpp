@@ -169,7 +169,7 @@ void BM_LinkTransitPooledFrames(benchmark::State& state) {
   class SinkNode : public net::Node {
    public:
     using Node::Node;
-    void handle_frame(net::Port& in, net::Frame frame) override {
+    void handle_frame(net::Port& in, net::Frame&& frame) override {
       (void)in;
       last = std::move(frame);
     }

@@ -221,7 +221,7 @@ void MtpRouter::count_offer(const Outstanding& o, bool add) {
   }
 }
 
-void MtpRouter::handle_frame(net::Port& in, net::Frame frame) {
+void MtpRouter::handle_frame(net::Port& in, net::Frame&& frame) {
   if (!started_) return;  // powered off: no per-port state exists
   PortState& s = pstate(in.number());
   if (!s.mtp) {
@@ -953,7 +953,7 @@ void MtpRouter::handle_dest_clear(std::uint32_t p, const DestClearMsg& msg) {
 
 // ---------------------------------------------------------------- data path
 
-void MtpRouter::handle_rack_frame(net::Port& in, net::Frame frame) {
+void MtpRouter::handle_rack_frame(net::Port& in, net::Frame&& frame) {
   std::span<const std::uint8_t> payload;
   ip::Ipv4Header header;
   try {

@@ -92,7 +92,7 @@ class MtpRouter : public net::Node {
   /// reliable-delivery bookkeeping, and advertised failure state. A later
   /// start() is a cold rejoin indistinguishable from first power-on.
   void stop() override;
-  void handle_frame(net::Port& in, net::Frame frame) override;
+  void handle_frame(net::Port& in, net::Frame&& frame) override;
   void on_port_down(net::Port& port) override;
   void on_port_up(net::Port& port) override;
 
@@ -330,7 +330,7 @@ class MtpRouter : public net::Node {
   void update_reachability(const std::set<std::uint16_t>& roots);
 
   // --- data plane ---
-  void handle_rack_frame(net::Port& in, net::Frame frame);
+  void handle_rack_frame(net::Port& in, net::Frame&& frame);
   void forward_data(DataMsg msg, std::optional<std::uint32_t> in_port);
   void deliver_to_rack(DataMsg msg);
   [[nodiscard]] static std::uint64_t data_flow_hash(const DataMsg& msg);

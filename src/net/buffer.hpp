@@ -147,7 +147,7 @@ class Buffer {
   }
   Buffer& operator=(Buffer&& other) noexcept {
     if (this != &other) {
-      reset();
+      if (slab_ != nullptr) reset();
       slab_ = other.slab_;
       off_ = other.off_;
       len_ = other.len_;
@@ -164,7 +164,7 @@ class Buffer {
     *this = copy_of({bytes.begin(), bytes.size()});
     return *this;
   }
-  ~Buffer() { reset(); }
+  ~Buffer() { if (slab_ != nullptr) reset(); }
 
   /// A zero-filled pooled buffer of `size` bytes behind `headroom`.
   [[nodiscard]] static Buffer allocate(std::size_t size,

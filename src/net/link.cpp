@@ -106,7 +106,7 @@ sim::Duration Link::ser_time(const Frame& frame) const {
       (wire_bits * 1000000000ull) / params_.bandwidth_bps));
 }
 
-void Link::transmit(Port& from, Frame frame) {
+void Link::transmit(Port& from, Frame&& frame) {
   if (&from != a_ && &from != b_) {
     throw std::logic_error("Link::transmit from foreign port");
   }
@@ -145,7 +145,7 @@ void Link::transmit(Port& from, Frame frame) {
   serialize_and_send(dir, std::move(frame), ser);
 }
 
-void Link::transmit_banded(int dir, Frame frame, SwitchBuffer* sb) {
+void Link::transmit_banded(int dir, Frame&& frame, SwitchBuffer* sb) {
   DirStats& dstats = dir_stats(static_cast<Dir>(dir));
   bool control = is_control_class(frame.traffic_class);
   int band = control ? kControlBand : kDataBand;
@@ -253,10 +253,9 @@ void Link::drain(int dir) {
   }
 }
 
-void Link::serialize_and_send(int dir, Frame frame, sim::Duration ser) {
+void Link::serialize_and_send(int dir, Frame&& frame, sim::Duration ser) {
   Dir direction = static_cast<Dir>(dir);
   DirStats& dstats = dir_stats(direction);
-  Port& to = dir == static_cast<int>(Dir::kAToB) ? *b_ : *a_;
 
   // Serialization occupies the transmitter; back-to-back frames queue.
   sim::Time start = std::max(send_ctx(dir).now(), busy_until_[dir]);
@@ -297,20 +296,21 @@ void Link::serialize_and_send(int dir, Frame frame, sim::Duration ser) {
     // that second reference is exactly what blocks in-place mutation of the
     // delivered bytes until the duplicate lands.
     ++dstats.duplicated;
-    Frame copy = frame;
     schedule_delivery(dir, arrival + sim::Duration::micros(1),
-                      [this, dir, &to, &dstats, copy = std::move(copy)]() mutable {
-                        deliver(dir, to, std::move(copy), dstats);
+                      [this, dir, copy = frame]() mutable {
+                        deliver(dir, std::move(copy));
                       });
   }
   // The last/only delivery moves the frame — no payload copy on transit.
   schedule_delivery(dir, arrival,
-                    [this, dir, &to, &dstats, frame = std::move(frame)]() mutable {
-                      deliver(dir, to, std::move(frame), dstats);
+                    [this, dir, frame = std::move(frame)]() mutable {
+                      deliver(dir, std::move(frame));
                     });
 }
 
-void Link::deliver(int dir, Port& to, Frame frame, DirStats& dstats) {
+void Link::deliver(int dir, Frame&& frame) {
+  Port& to = dir == static_cast<int>(Dir::kAToB) ? *b_ : *a_;
+  DirStats& dstats = dir_stats(static_cast<Dir>(dir));
   if (!to.admin_up()) {
     ++dstats.dropped_dst_down;
     return;

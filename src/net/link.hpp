@@ -94,7 +94,7 @@ class Link {
   void set_tap(Tap tap) { tap_ = std::move(tap); }
 
   /// Queues `frame` for transmission from `from` toward the other side.
-  void transmit(Port& from, Frame frame);
+  void transmit(Port& from, Frame&& frame);
 
   // --- gray-failure impairments (runtime-mutable, per direction) ---
   void set_loss(Dir dir, double p);
@@ -191,17 +191,17 @@ class Link {
   static constexpr int kControlBand = 0;
   static constexpr int kDataBand = 1;
 
-  void deliver(int dir, Port& to, Frame frame, DirStats& dstats);
+  void deliver(int dir, Frame&& frame);
   /// Serializes `frame` starting no earlier than now (impairments, jitter,
-  /// loss and duplication applied) and schedules delivery. Shared tail of the
-  /// fast path and the band drain.
-  void serialize_and_send(int dir, Frame frame, sim::Duration ser);
+  /// loss and duplication applied) and moves it into its delivery closure.
+  /// Shared tail of the fast path and the band drain.
+  void serialize_and_send(int dir, Frame&& frame, sim::Duration ser);
   /// Banded admission (priority mode, or the sender has a SwitchBuffer):
   /// fast path when the transmitter is idle, otherwise a strict-priority
   /// band enqueue with per-class depth limits; an active PAUSE holds the
   /// data band. With `sb` non-null, data is also charged byte-accurately to
   /// the pool and its ingress port, and both bands are ECN-marked.
-  void transmit_banded(int dir, Frame frame, SwitchBuffer* sb);
+  void transmit_banded(int dir, Frame&& frame, SwitchBuffer* sb);
   /// Schedules a drain at the next transmitter-free instant unless one is
   /// already armed.
   void arm_drain(int dir);

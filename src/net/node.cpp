@@ -13,8 +13,6 @@ Node::Node(SimContext& ctx, std::string name, std::uint32_t tier)
 
 Node::~Node() = default;
 
-MacAddr Port::mac() const { return MacAddr::for_port(owner_->id(), number_); }
-
 Port* Port::peer() const {
   if (link_ == nullptr) return nullptr;
   return &link_->other(*this);
@@ -30,19 +28,12 @@ Port& Node::add_port() {
   return *ports_.back();
 }
 
-Port& Node::port(std::uint32_t number) {
-  if (number == 0 || number > ports_.size()) {
-    throw std::out_of_range("Node " + name_ + ": no port " +
-                            std::to_string(number));
-  }
-  return *ports_[number - 1];
+void Node::throw_no_port(std::uint32_t number) const {
+  throw std::out_of_range("Node " + name_ + ": no port " +
+                          std::to_string(number));
 }
 
-const Port& Node::port(std::uint32_t number) const {
-  return const_cast<Node*>(this)->port(number);
-}
-
-void Node::transmit(Port& out, Frame frame) {
+void Node::transmit(Port& out, Frame&& frame) {
   if (&out.owner() != this) {
     throw std::logic_error("Node::transmit via foreign port");
   }
@@ -84,13 +75,6 @@ double Node::congestion_factor(std::uint32_t port_number) const {
 void Node::note_flowlet_reroute(std::uint32_t port_number) const {
   const Port& out = port(port_number);
   if (out.connected()) out.link()->note_flowlet_reroute(out);
-}
-
-void Node::receive_frame(Port& in, Frame frame) {
-  std::uint32_t saved = rx_port_no_;
-  rx_port_no_ = in.number();
-  handle_frame(in, std::move(frame));
-  rx_port_no_ = saved;
 }
 
 void Node::set_interface_down(std::uint32_t port_number) {

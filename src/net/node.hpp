@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -103,14 +104,19 @@ class Node {
   [[nodiscard]] std::uint32_t tier() const { return tier_; }
 
   Port& add_port();
-  [[nodiscard]] Port& port(std::uint32_t number);
-  [[nodiscard]] const Port& port(std::uint32_t number) const;
+  [[nodiscard]] Port& port(std::uint32_t number) {
+    if (number == 0 || number > ports_.size()) throw_no_port(number);
+    return *ports_[number - 1];
+  }
+  [[nodiscard]] const Port& port(std::uint32_t number) const {
+    return const_cast<Node*>(this)->port(number);
+  }
   [[nodiscard]] std::uint32_t port_count() const {
     return static_cast<std::uint32_t>(ports_.size());
   }
 
   /// Sends a frame out `out`; silently dropped if the port is down/unwired.
-  void transmit(Port& out, Frame frame);
+  void transmit(Port& out, Frame&& frame);
 
   /// Gives this node a finite shared egress buffer (see switch_buffer.hpp);
   /// every Link admission from this node then charges it. Enabling twice
@@ -179,7 +185,12 @@ class Node {
   /// Delivery entry point used by Link: records which port the frame arrived
   /// on (ingress attribution for PFC charging — forwarding is synchronous in
   /// every protocol stack here) and dispatches to handle_frame().
-  void receive_frame(Port& in, Frame frame);
+  void receive_frame(Port& in, Frame&& frame) {
+    std::uint32_t saved = rx_port_no_;
+    rx_port_no_ = in.number();
+    handle_frame(in, std::move(frame));
+    rx_port_no_ = saved;
+  }
   /// 1-based port number of the frame currently being received; 0 outside
   /// receive_frame (self-originated traffic charges no ingress account).
   [[nodiscard]] std::uint32_t current_rx_port() const { return rx_port_no_; }
@@ -198,8 +209,8 @@ class Node {
   /// The lifecycle engine's reboot primitive; default is stateless no-op.
   virtual void stop() {}
 
-  /// A frame arrived on `in`.
-  virtual void handle_frame(Port& in, Frame frame) = 0;
+  /// A frame arrived on `in`, moved from the sender; the handler may move it.
+  virtual void handle_frame(Port& in, Frame&& frame) = 0;
 
   virtual void on_port_down(Port& port) { (void)port; }
   virtual void on_port_up(Port& port) { (void)port; }
@@ -224,6 +235,7 @@ class Node {
   [[nodiscard]] double congestion_factor(std::uint32_t port) const;
   /// Counts a flowlet redrawn onto `port` on its link direction.
   void note_flowlet_reroute(std::uint32_t port) const;
+  [[noreturn]] void throw_no_port(std::uint32_t number) const;
 
   std::string name_;
   std::uint32_t id_ = 0;
@@ -237,5 +249,9 @@ class Node {
   /// node's shard thread touches it.
   std::unique_ptr<FlowletTable> flowlets_;
 };
+
+inline MacAddr Port::mac() const {
+  return MacAddr::for_port(owner_->id(), number_);
+}
 
 }  // namespace mrmtp::net

@@ -43,7 +43,7 @@ void L3Node::send_ip(ip::Ipv4Addr src, ip::Ipv4Addr dst, ip::IpProto proto,
                /*from_self=*/true);
 }
 
-void L3Node::handle_frame(net::Port& in, net::Frame frame) {
+void L3Node::handle_frame(net::Port& in, net::Frame&& frame) {
   if (frame.ethertype != net::EtherType::kIpv4) return;  // not ours
   (void)in;
   std::span<const std::uint8_t> payload;

@@ -66,7 +66,7 @@ class L3Node : public net::Node, public IpSender {
   [[nodiscard]] std::string endpoint_name() const override { return name(); }
 
   // --- net::Node ---
-  void handle_frame(net::Port& in, net::Frame frame) override;
+  void handle_frame(net::Port& in, net::Frame&& frame) override;
 
   struct ForwardingStats {
     std::uint64_t forwarded = 0;

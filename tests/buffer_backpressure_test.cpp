@@ -88,7 +88,7 @@ TEST(MarkCeTest, RefusesMalformedBytes) {
 class NullNode : public net::Node {
  public:
   using Node::Node;
-  void handle_frame(net::Port&, net::Frame) override {}
+  void handle_frame(net::Port&, net::Frame&&) override {}
 };
 
 TEST(SwitchBufferTest, DynamicThresholdCapsOnePortNearHalfPool) {

@@ -167,7 +167,7 @@ TEST(BufferTest, DuplicatedDeliverySharesSlabUntilWritten) {
   class SinkNode : public net::Node {
    public:
     using Node::Node;
-    void handle_frame(net::Port& in, net::Frame frame) override {
+    void handle_frame(net::Port& in, net::Frame&& frame) override {
       (void)in;
       arrivals.push_back(std::move(frame));
     }

@@ -19,7 +19,7 @@ TEST(LinkQueueTest, TailDropWhenBacklogExceedsLimit) {
   class Sink : public net::Node {
    public:
     using Node::Node;
-    void handle_frame(net::Port&, net::Frame) override { ++received; }
+    void handle_frame(net::Port&, net::Frame&&) override { ++received; }
     int received = 0;
   };
   auto& a = network.add_node<Sink>("a", 1);
@@ -30,7 +30,7 @@ TEST(LinkQueueTest, TailDropWhenBacklogExceedsLimit) {
 
   net::Frame f;
   f.payload.assign(1000, 0xaa);
-  for (int i = 0; i < 100; ++i) a.transmit(a.port(1), f);
+  for (int i = 0; i < 100; ++i) a.transmit(a.port(1), net::Frame{f});
   ctx.sched.run();
 
   EXPECT_GT(link.stats().dropped_queue_full(), 0u);
@@ -50,7 +50,7 @@ TEST(LinkQueueTest, LargerQueueAbsorbsBurst) {
     class Sink : public net::Node {
      public:
       using Node::Node;
-      void handle_frame(net::Port&, net::Frame) override { ++received; }
+      void handle_frame(net::Port&, net::Frame&&) override { ++received; }
       int received = 0;
     };
     auto& a = network.add_node<Sink>("a", 1);
@@ -60,7 +60,7 @@ TEST(LinkQueueTest, LargerQueueAbsorbsBurst) {
                      .max_queue = sim::Duration::micros(queue_us)});
     net::Frame f;
     f.payload.assign(1000, 0xaa);
-    for (int i = 0; i < 50; ++i) a.transmit(a.port(1), f);
+    for (int i = 0; i < 50; ++i) a.transmit(a.port(1), net::Frame{f});
     ctx.sched.run();
     EXPECT_EQ(b.received == 50, expect_all) << queue_us << "us queue";
   }

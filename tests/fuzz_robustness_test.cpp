@@ -115,7 +115,7 @@ TEST_P(FuzzSeeds, RoutersSurviveGarbageFramesWhileForwarding) {
           junk.ethertype = rng.chance(0.5) ? net::EtherType::kMtp
                                            : net::EtherType::kIpv4;
           junk.payload = random_bytes(rng, 96);
-          spine.handle_frame(spine.port(3), junk);
+          spine.handle_frame(spine.port(3), std::move(junk));
         });
   }
 

@@ -150,7 +150,7 @@ TEST_F(MtpFailureTest, ValleyGuardDropsDownThenUpPackets) {
   frame.ethertype = net::EtherType::kMtp;
   frame.payload = encode(MtpMessage{msg});
   frame.traffic_class = net::TrafficClass::kMtpData;
-  t1.handle_frame(t1.port(1), frame);
+  t1.handle_frame(t1.port(1), net::Frame{frame});
 
   EXPECT_EQ(t1.mtp_stats().data_dropped_no_path, drops_before + 1);
 
@@ -158,7 +158,7 @@ TEST_F(MtpFailureTest, ValleyGuardDropsDownThenUpPackets) {
   // rule): S-1-1's port 1 faces T-1.
   auto& s11 = router("S-1-1");
   drops_before = s11.mtp_stats().data_dropped_no_path;
-  s11.handle_frame(s11.port(1), frame);
+  s11.handle_frame(s11.port(1), std::move(frame));
   EXPECT_EQ(s11.mtp_stats().data_dropped_no_path, drops_before + 1);
 }
 
@@ -176,7 +176,7 @@ TEST_F(MtpFailureTest, TtlBackstopKillsCraftedLoops) {
   net::Frame frame;
   frame.ethertype = net::EtherType::kMtp;
   frame.payload = encode(MtpMessage{msg});
-  s11.handle_frame(s11.port(1), frame);  // transit with ttl 1 -> dropped
+  s11.handle_frame(s11.port(1), std::move(frame));  // transit with ttl 1 -> dropped
   EXPECT_EQ(s11.mtp_stats().data_dropped_ttl, 1u);
 }
 

@@ -107,7 +107,7 @@ TEST_F(MtpPairTest, HelloIsSuppressedWhileTrafficFlows) {
       f.ethertype = net::EtherType::kMtp;
       f.payload = encode(MtpMessage{msg});
       f.traffic_class = net::TrafficClass::kMtpData;
-      spine_->handle_frame(spine_->port(1), f);  // loops right back down
+      spine_->handle_frame(spine_->port(1), std::move(f));  // loops right back down
     });
   }
   run_for(sim::Duration::seconds(1));
@@ -386,7 +386,7 @@ class Recorder : public net::Node {
  public:
   Recorder(net::SimContext& ctx, std::string name)
       : net::Node(ctx, std::move(name), 0) {}
-  void handle_frame(net::Port& /*in*/, net::Frame frame) override {
+  void handle_frame(net::Port& /*in*/, net::Frame&& frame) override {
     frames.push_back(std::move(frame));
   }
   std::vector<net::Frame> frames;

@@ -13,8 +13,9 @@ class SinkNode : public Node {
  public:
   using Node::Node;
 
-  void handle_frame(Port& in, Frame frame) override {
-    arrivals.push_back({ctx_.now(), in.number(), std::move(frame)});
+  void handle_frame(Port& in, Frame&& frame) override {
+    const std::uint32_t refs = frame.payload.refcount();
+    arrivals.push_back({ctx_.now(), in.number(), refs, std::move(frame)});
   }
   void on_port_down(Port& port) override { downs.push_back(port.number()); }
   void on_port_up(Port& port) override { ups.push_back(port.number()); }
@@ -22,6 +23,8 @@ class SinkNode : public Node {
   struct Arrival {
     sim::Time at;
     std::uint32_t port;
+    /// Payload refcount as handle_frame saw it (1 = its only owner).
+    std::uint32_t refs;
     Frame frame;
   };
   std::vector<Arrival> arrivals;
@@ -185,6 +188,53 @@ TEST_F(LinkTest, TrafficStatsAccumulatePerClass) {
   EXPECT_EQ(b_->port(1).rx_stats().total().frames, 2u);
 }
 
+// Every hop from Node::transmit to handle_frame moves the frame. Whether it
+// leaves an idle link at once, waits in a priority band behind a backlog, or
+// is held by a PAUSE until the RESUME, the receiver gets the slab the sender
+// filled as its only owner, and no payload byte is copied on the way.
+TEST_F(LinkTest, FramesReachTheReceiverOnTheSentSlab) {
+  wire({.delay = sim::Duration::micros(1),
+        .bandwidth_bps = 1'000'000'000,
+        .priority_queues = true});
+  const BufferPoolStats before = BufferPool::instance().stats();
+  std::vector<const std::uint8_t*> sent;
+  auto send = [&] {
+    Frame f = make_frame(1000, TrafficClass::kMtpData);
+    sent.push_back(f.payload.data());
+    a_->transmit(a_->port(1), std::move(f));
+  };
+  auto flow_control = [&](std::uint8_t opcode) {  // 1 = PAUSE, 0 = RESUME
+    Frame f = make_frame(1, TrafficClass::kPfc);
+    f.ethertype = EtherType::kFlowControl;
+    f.payload.mutable_data()[0] = opcode;
+    b_->transmit(b_->port(1), std::move(f));
+  };
+
+  send();  // idle link: straight onto the wire
+  send();  // waits in the data band behind the first
+  ctx_.sched.run();
+  ASSERT_EQ(b_->arrivals.size(), 2u);
+  ASSERT_GT(link_->stats().ab.data_backlog_hw_ns, 0u);
+
+  flow_control(1);
+  ctx_.sched.run();
+  ASSERT_TRUE(link_->data_paused(Link::Dir::kAToB));
+  send();  // held in the paused data band
+  ctx_.sched.run();
+  EXPECT_EQ(b_->arrivals.size(), 2u);
+  flow_control(0);
+  ctx_.sched.run();
+
+  ASSERT_EQ(b_->arrivals.size(), 3u);
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(b_->arrivals[i].frame.payload.data(), sent[i]) << "frame " << i;
+    EXPECT_EQ(b_->arrivals[i].refs, 1u) << "frame " << i;
+  }
+  const BufferPoolStats& after = BufferPool::instance().stats();
+  EXPECT_EQ(after.bytes_copied, before.bytes_copied);
+  EXPECT_EQ(after.prepend_copies, before.prepend_copies);
+}
+
 // Priority mode and a switch buffer that never refuses, marks or pauses
 // must be one egress path: a data burst followed by control frames leaves
 // both links in the same order, at the same instants, with the same
@@ -282,10 +332,24 @@ TEST(NodeTest, MacAddressesAreUniquePerPort) {
   auto& y = network.add_node<SinkNode>("y", 1);
   network.connect(x, y);
   network.connect(x, y);
+  EXPECT_FALSE(x.add_port().connected());
   EXPECT_NE(x.port(1).mac(), x.port(2).mac());
   EXPECT_NE(x.port(1).mac(), y.port(1).mac());
   EXPECT_FALSE(x.port(1).mac().is_broadcast());
   EXPECT_TRUE(MacAddr::broadcast().is_broadcast());
+  // Wired or not, a port's MAC is derived from its node id and number, and
+  // the port accessor stays range-checked on both overloads.
+  for (const Node* node : {static_cast<const Node*>(&x),
+                           static_cast<const Node*>(&y)}) {
+    for (std::uint32_t n = 1; n <= node->port_count(); ++n) {
+      const Port& p = node->port(n);
+      EXPECT_EQ(p.mac(), MacAddr::for_port(node->id(), p.number())) << p.str();
+    }
+    EXPECT_THROW((void)node->port(0), std::out_of_range);
+    EXPECT_THROW((void)node->port(node->port_count() + 1), std::out_of_range);
+  }
+  EXPECT_THROW((void)x.port(0), std::out_of_range);
+  EXPECT_THROW((void)x.port(x.port_count() + 1), std::out_of_range);
 }
 
 TEST(NodeTest, PeerNavigation) {

@@ -20,7 +20,7 @@ class PriorityLinkTest : public ::testing::Test {
   class Sink : public net::Node {
    public:
     using Node::Node;
-    void handle_frame(net::Port&, net::Frame frame) override {
+    void handle_frame(net::Port&, net::Frame&& frame) override {
       classes.push_back(frame.traffic_class);
     }
     std::vector<net::TrafficClass> classes;

@@ -227,7 +227,7 @@ TEST(RouteTableCacheTest, CacheHitsCountAndInvalidateOnChange) {
 class SinkNode : public net::Node {
  public:
   using Node::Node;
-  void handle_frame(net::Port& in, net::Frame frame) override {
+  void handle_frame(net::Port& in, net::Frame&& frame) override {
     (void)in;
     (void)frame;
     ++received;
