@@ -1,5 +1,7 @@
 #include "bfd/bfd.hpp"
 
+#include <algorithm>
+
 namespace mrmtp::bfd {
 
 std::string_view to_string(BfdState s) {
@@ -12,8 +14,8 @@ std::string_view to_string(BfdState s) {
   return "?";
 }
 
-std::vector<std::uint8_t> BfdPacket::serialize() const {
-  util::BufWriter w(kSize);
+net::Buffer BfdPacket::serialize() const {
+  net::BufferWriter w(kSize);
   w.u8(0x20);  // version 1, diag 0
   w.u8(static_cast<std::uint8_t>(static_cast<std::uint8_t>(state) << 6));
   w.u8(detect_mult);
@@ -165,16 +167,25 @@ BfdManager::BfdManager(transport::L3Node& node) : node_(node) {
 BfdSession& BfdManager::create_session(ip::Ipv4Addr local, ip::Ipv4Addr peer,
                                        BfdSession::Config config,
                                        BfdSession::StateCallback on_change) {
-  sessions_.push_back(std::make_unique<BfdSession>(
-      node_, local, peer, config, std::move(on_change), next_discriminator_++));
-  return *sessions_.back();
+  auto at = std::upper_bound(
+      sessions_.begin(), sessions_.end(), peer,
+      [](ip::Ipv4Addr p, const std::unique_ptr<BfdSession>& s) {
+        return p < s->peer();
+      });
+  at = sessions_.insert(
+      at, std::make_unique<BfdSession>(node_, local, peer, config,
+                                       std::move(on_change),
+                                       next_discriminator_++));
+  return **at;
 }
 
 BfdSession* BfdManager::find(ip::Ipv4Addr peer) {
-  for (auto& s : sessions_) {
-    if (s->peer() == peer) return s.get();
-  }
-  return nullptr;
+  auto it = std::lower_bound(
+      sessions_.begin(), sessions_.end(), peer,
+      [](const std::unique_ptr<BfdSession>& s, ip::Ipv4Addr p) {
+        return s->peer() < p;
+      });
+  return it != sessions_.end() && (*it)->peer() == peer ? it->get() : nullptr;
 }
 
 }  // namespace mrmtp::bfd

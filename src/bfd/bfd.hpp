@@ -39,7 +39,9 @@ struct BfdPacket {
   std::uint32_t desired_min_tx_us = 100000;
   std::uint32_t required_min_rx_us = 100000;
 
-  [[nodiscard]] std::vector<std::uint8_t> serialize() const;
+  /// The 24 bytes in a pooled buffer whose headroom takes the UDP and IP
+  /// headers in place.
+  [[nodiscard]] net::Buffer serialize() const;
   static BfdPacket parse(std::span<const std::uint8_t> data);
 };
 
@@ -102,11 +104,13 @@ class BfdManager {
                              BfdSession::Config config,
                              BfdSession::StateCallback on_state_change);
 
+  /// The session to `peer`; of several, the first created.
   [[nodiscard]] BfdSession* find(ip::Ipv4Addr peer);
   [[nodiscard]] std::size_t session_count() const { return sessions_.size(); }
 
  private:
   transport::L3Node& node_;
+  /// Sorted by peer; sessions to one peer in creation order.
   std::vector<std::unique_ptr<BfdSession>> sessions_;
   std::uint32_t next_discriminator_ = 1;
 };

@@ -514,7 +514,7 @@ bool BgpRouter::run_decision(PrefixId id) {
     std::vector<ip::NextHop>& nexthops = nexthops_;
     nexthops.clear();
     for (const Path& path : chosen) {
-      std::uint32_t port_number = egress_port_for(path.next_hop);
+      std::uint32_t port_number = connected_port(path.next_hop);
       if (port_number == 0) continue;
       ip::NextHop nh{path.next_hop, port_number};
       if (wcmp) {
@@ -640,12 +640,6 @@ BgpRouter::PathId BgpRouter::advertisement_for(const Peer& peer,
 bool BgpRouter::originates(ip::Ipv4Prefix prefix) const {
   return std::find(config_.originate.begin(), config_.originate.end(),
                    prefix) != config_.originate.end();
-}
-
-std::uint32_t BgpRouter::egress_port_for(ip::Ipv4Addr next_hop) const {
-  const ip::Route* r = routes().lookup(next_hop);
-  if (r == nullptr || r->proto != ip::RouteProto::kConnected) return 0;
-  return r->nexthops.front().port;
 }
 
 void BgpRouter::on_port_down(net::Port& port) {

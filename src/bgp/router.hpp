@@ -257,7 +257,6 @@ class BgpRouter : public transport::L3Node {
                                          const PrefixRib& rib) const;
 
   [[nodiscard]] bool originates(ip::Ipv4Prefix prefix) const;
-  [[nodiscard]] std::uint32_t egress_port_for(ip::Ipv4Addr next_hop) const;
 
   BgpConfig config_;
   std::optional<std::uint64_t> stream_seed_;

@@ -88,6 +88,10 @@ class RouteTable {
 
   [[nodiscard]] std::size_t size() const { return count_; }
 
+  /// Moves on every mutation (add, set, remove, clear): an answer derived
+  /// from the table stays valid while the epoch it was derived at holds.
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+
   /// All routes sorted by (prefix length, network); stable for dumps/tests.
   [[nodiscard]] std::vector<const Route*> sorted_routes() const;
 

@@ -12,7 +12,44 @@ void L3Node::configure_port(std::uint32_t port_number, ip::Ipv4Addr addr,
   local_addrs_.clear();
   for (const auto& [port, a] : port_addrs_) local_addrs_.push_back(a);
   std::sort(local_addrs_.begin(), local_addrs_.end());
+  std::erase_if(link_peers_, [port_number](const LinkPeer& lp) {
+    return lp.port == port_number;
+  });
+  if (prefix_len == 31) {
+    const LinkPeer lp{ip::Ipv4Addr(addr.value() ^ 1u), port_number};
+    link_peers_.insert(
+        std::upper_bound(link_peers_.begin(), link_peers_.end(), lp,
+                         [](const LinkPeer& a, const LinkPeer& b) {
+                           return a.peer < b.peer;
+                         }),
+        lp);
+  }
   routes_.add_connected(ip::Ipv4Prefix(addr, prefix_len), port_number, addr);
+}
+
+std::uint32_t L3Node::link_peer_port(ip::Ipv4Addr addr) const {
+  auto it = std::lower_bound(
+      link_peers_.begin(), link_peers_.end(), addr,
+      [](const LinkPeer& lp, ip::Ipv4Addr a) { return lp.peer < a; });
+  if (it == link_peers_.end() || it->peer != addr) return 0;
+  if (it->epoch != routes_.epoch()) {
+    const ip::Route* r = routes_.exact(ip::Ipv4Prefix(addr, 31));
+    it->fib_agrees = routes_.exact(ip::Ipv4Prefix(addr, 32)) == nullptr &&
+                     r != nullptr && r->proto == ip::RouteProto::kConnected &&
+                     r->nexthops.size() == 1 &&
+                     r->nexthops.front().port == it->port;
+    it->epoch = routes_.epoch();
+  }
+  return it->fib_agrees ? it->port : 0;
+}
+
+std::uint32_t L3Node::connected_port(ip::Ipv4Addr addr) const {
+  if (const std::uint32_t port_number = link_peer_port(addr); port_number != 0) {
+    return port_number;
+  }
+  const ip::Route* r = routes_.lookup(addr);
+  if (r == nullptr || r->proto != ip::RouteProto::kConnected) return 0;
+  return r->nexthops.front().port;
 }
 
 std::optional<ip::Ipv4Addr> L3Node::port_addr(std::uint32_t port_number) const {
@@ -90,6 +127,19 @@ void L3Node::route_packet(const ip::Ipv4Header& header, net::Buffer packet,
     }
     deliver_local(header, payload, tc);
     return;
+  }
+
+  // Every BGP and BFD session runs between link neighbors, so most packets
+  // a router sends go to the peer on one of its /31s. Such a packet leaves
+  // on that port without a flow hash, LPM lookup or egress pick; under
+  // kWcmpFlowlet it still takes the FIB path, whose pick also writes the
+  // flowlet table.
+  if (from_self && path_select() != util::PathSelect::kWcmpFlowlet) {
+    if (const std::uint32_t port_number = link_peer_port(header.dst);
+        port_number != 0) {
+      emit_frame(port_number, std::move(packet), tc);
+      return;
+    }
   }
 
   if (!from_self && header.ttl <= 1) {

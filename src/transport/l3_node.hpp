@@ -26,6 +26,7 @@ class L3Node : public net::Node, public IpSender {
       : net::Node(ctx, std::move(name), tier), tcp_(*this) {}
 
   /// Assigns `addr`/`prefix_len` to a port and installs the connected route.
+  /// A /31 port also enters the link-peer table under its peer's address.
   void configure_port(std::uint32_t port, ip::Ipv4Addr addr,
                       std::uint8_t prefix_len);
 
@@ -43,6 +44,11 @@ class L3Node : public net::Node, public IpSender {
   /// BGP speaker stamps when WCMP is enabled before start().
   [[nodiscard]] const ip::NextHop* select_next_hop(ip::Ipv4Addr dst,
                                                    std::uint64_t hash);
+
+  /// The port of the connected route the FIB's longest-prefix match picks
+  /// for `addr`, 0 if that route is not connected or none covers `addr`.
+  /// A link peer is answered from the link-peer table without an LPM walk.
+  [[nodiscard]] std::uint32_t connected_port(ip::Ipv4Addr addr) const;
 
   /// UDP receive hook: (src, dst, udp header, payload).
   using UdpHandler =
@@ -85,7 +91,9 @@ class L3Node : public net::Node, public IpSender {
   /// Routes a serialized IP packet: local delivery or ECMP forwarding.
   /// `header` is the already-parsed view of `packet`'s leading bytes. On the
   /// transit path the packet buffer is forwarded as-is (TTL and checksum
-  /// patched in place) — the bytes are never re-serialized.
+  /// patched in place) — the bytes are never re-serialized. A packet this
+  /// node sends to a link peer leaves on the peer's port directly, unless
+  /// the FIB could send it elsewhere (see link_peer_port).
   void route_packet(const ip::Ipv4Header& header, net::Buffer packet,
                     net::TrafficClass tc, bool from_self);
 
@@ -102,11 +110,31 @@ class L3Node : public net::Node, public IpSender {
   ForwardingStats fwd_stats_;
 
  private:
+  /// The far end of a /31 port: the peer's address (this port's ^ 1).
+  struct LinkPeer {
+    ip::Ipv4Addr peer;
+    std::uint32_t port = 0;
+    /// The routes_ epoch `fib_agrees` was computed at; 0 = never (the
+    /// table's epoch starts at 1).
+    std::uint64_t epoch = 0;
+    bool fib_agrees = false;
+  };
+
   void emit_frame(std::uint32_t port, net::Buffer packet, net::TrafficClass tc);
+  /// The /31 port `addr` is the link peer of, if the FIB's answer for
+  /// `addr` is exactly that port: no /32 route for `addr`, and the /31 is
+  /// still the connected route on that port (a BGP or static route set on
+  /// the same prefix replaces it). 0 otherwise, and for any other address.
+  /// The check is redone only when routes_ has changed since the last one.
+  [[nodiscard]] std::uint32_t link_peer_port(ip::Ipv4Addr addr) const;
+
   ip::RouteTable routes_;
   std::unordered_map<std::uint32_t, ip::Ipv4Addr> port_addrs_;
   /// Every port address, sorted: the per-packet local-delivery check.
   std::vector<ip::Ipv4Addr> local_addrs_;
+  /// Every /31 port's LinkPeer, sorted by peer. Mutable for the lazily
+  /// refreshed fib_agrees stamps.
+  mutable std::vector<LinkPeer> link_peers_;
   std::unordered_map<std::uint16_t, UdpHandler> udp_handlers_;
   TcpStack tcp_;
   std::uint16_t next_ip_id_ = 1;

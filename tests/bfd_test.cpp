@@ -37,7 +37,7 @@ TEST(BfdPacketTest, RoundTrip) {
 TEST(BfdPacketTest, RejectsMalformed) {
   BfdPacket p;
   auto bytes = p.serialize();
-  bytes[0] = 0x00;  // version 0
+  bytes.mutable_data()[0] = 0x00;  // version 0
   EXPECT_THROW(BfdPacket::parse(bytes), util::CodecError);
   auto short_buf = std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + 10);
   EXPECT_THROW(BfdPacket::parse(short_buf), util::CodecError);
@@ -163,6 +163,25 @@ TEST_F(BfdSessionTest, ManagerDemuxesByPeer) {
   EXPECT_EQ(mgr_a_->find(addr_b_), sa_);
   EXPECT_EQ(mgr_a_->find(ip::Ipv4Addr::parse("9.9.9.9")), nullptr);
   EXPECT_EQ(mgr_a_->session_count(), 1u);
+
+  // Sessions created out of address order are each found by their peer;
+  // of two sessions to one peer, the first created answers.
+  std::vector<std::pair<ip::Ipv4Addr, BfdSession*>> made;
+  for (const char* peer : {"172.16.0.9", "10.0.0.1", "192.168.1.1",
+                           "172.16.0.3", "10.0.0.1"}) {
+    const auto addr = ip::Ipv4Addr::parse(peer);
+    made.emplace_back(addr, &mgr_a_->create_session(addr_a_, addr, {}, {}));
+  }
+  EXPECT_EQ(mgr_a_->session_count(), 6u);
+  EXPECT_EQ(mgr_a_->find(addr_b_), sa_);
+  for (std::size_t i = 0; i + 1 < made.size(); ++i) {
+    EXPECT_EQ(mgr_a_->find(made[i].first), made[i].second)
+        << made[i].first.str();
+  }
+  EXPECT_NE(made.back().second, made[1].second);
+  EXPECT_EQ(mgr_a_->find(ip::Ipv4Addr::parse("10.0.0.0")), nullptr);
+  EXPECT_EQ(mgr_a_->find(ip::Ipv4Addr::parse("172.16.0.4")), nullptr);
+  EXPECT_EQ(mgr_a_->find(ip::Ipv4Addr::parse("255.255.255.255")), nullptr);
 }
 
 }  // namespace

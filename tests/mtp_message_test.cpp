@@ -200,7 +200,7 @@ TEST(MtpCodecTest, MalformedVidListsAreRejectedByEveryDecoder) {
   auto advertise = [](std::initializer_list<std::uint8_t> list) {
     std::vector<std::uint8_t> out{static_cast<std::uint8_t>(MsgType::kAdvertise),
                                   3, 0, 0, 0, 1};
-    out.insert(out.end(), list);
+    for (std::uint8_t b : list) out.push_back(b);
     return out;
   };
   const std::vector<std::vector<std::uint8_t>> bad = {

@@ -629,9 +629,12 @@ class RecorderAbove : public SpineFabric {
     std::string out = spine->neighbor_summary();
     for (const std::uint16_t root :
          std::initializer_list<std::uint16_t>{11, 12, 50, 60, 70}) {
-      out += "root " + std::to_string(root) + ":";
+      out += "root ";
+      out += std::to_string(root);
+      out += ':';
       for (const std::uint32_t p : spine->eligible_up_ports(root)) {
-        out += " " + std::to_string(p);
+        out += ' ';
+        out += std::to_string(p);
       }
       out += "\n";
     }
@@ -639,11 +642,17 @@ class RecorderAbove : public SpineFabric {
       const MtpMessage msg = decode(f.payload);
       if (const auto* offer = std::get_if<JoinOfferMsg>(&msg)) {
         out += "offer";
-        for (const Vid& v : offer->vids) out += " " + v.str();
+        for (const Vid& v : offer->vids) {
+          out += ' ';
+          out += v.str();
+        }
         out += "\n";
       } else if (const auto* req = std::get_if<JoinRequestMsg>(&msg)) {
         out += "request";
-        for (const Vid& v : req->vids) out += " " + v.str();
+        for (const Vid& v : req->vids) {
+          out += ' ';
+          out += v.str();
+        }
         out += "\n";
       }
     }

@@ -580,5 +580,182 @@ TEST(L3NodeTest, MultiPortNodeDeliversToEveryLocalAddress) {
   EXPECT_EQ(hub.port_addr(3), ip::Ipv4Addr::parse("10.0.3.1"));
 }
 
+/// r1 joined to two neighbors by /31s: r2 on port 1 (10.0.0.0/31) and r3
+/// on port 2 (10.0.1.0/31). r1's sends to 10.0.0.1, its link peer on
+/// port 1, may skip the FIB only where the FIB would pick port 1 too.
+struct LinkPeerFabric {
+  LinkPeerFabric()
+      : r1(network.add_node<L3Node>("r1", 1)),
+        r2(network.add_node<L3Node>("r2", 1)),
+        r3(network.add_node<L3Node>("r3", 1)) {
+    network.connect(r1, r2);
+    network.connect(r1, r3);
+    r1.configure_port(1, self, 31);
+    r2.configure_port(1, peer, 31);
+    r1.configure_port(2, ip::Ipv4Addr::parse("10.0.1.0"), 31);
+    r3.configure_port(1, other, 31);
+  }
+
+  void send_to_peer() {
+    r1.send_udp(self, peer, 4000, 5000, {1, 2, 3, 4},
+                net::TrafficClass::kIpData);
+  }
+  [[nodiscard]] std::uint64_t sent_on(std::uint32_t port) const {
+    return r1.port(port).tx_stats().of(net::TrafficClass::kIpData).frames;
+  }
+  [[nodiscard]] std::uint64_t lookups() const {
+    return r1.routes().select_stats().lookups;
+  }
+
+  net::SimContext ctx{13};
+  net::Network network{ctx};
+  L3Node& r1;
+  L3Node& r2;
+  L3Node& r3;
+  ip::Ipv4Addr self = ip::Ipv4Addr::parse("10.0.0.0");
+  ip::Ipv4Addr peer = ip::Ipv4Addr::parse("10.0.0.1");
+  ip::Ipv4Addr other = ip::Ipv4Addr::parse("10.0.1.1");
+  ip::Ipv4Prefix link = ip::Ipv4Prefix::parse("10.0.0.0/31");
+};
+
+TEST(L3NodeTest, SendToLinkPeerSkipsTheFib) {
+  LinkPeerFabric f;
+  int got = 0;
+  f.r2.bind_udp(5000, [&](ip::Ipv4Addr src, ip::Ipv4Addr, const UdpHeader&,
+                          std::span<const std::uint8_t> payload) {
+    EXPECT_EQ(src, f.self);
+    EXPECT_EQ(payload.size(), 4u);
+    ++got;
+  });
+  f.send_to_peer();
+  f.send_to_peer();
+  f.ctx.sched.run();
+  EXPECT_EQ(got, 2);
+  EXPECT_EQ(f.sent_on(1), 2u);
+  EXPECT_EQ(f.sent_on(2), 0u);
+  EXPECT_EQ(f.lookups(), 0u);
+
+  // Any other destination still takes the FIB.
+  f.r1.routes().set(ip::Ipv4Prefix::parse("99.0.0.0/8"),
+                    ip::RouteProto::kStatic, {{f.other, 2}});
+  f.r1.send_udp(f.self, ip::Ipv4Addr::parse("99.1.1.1"), 4000, 5000, {1},
+                net::TrafficClass::kIpData);
+  EXPECT_EQ(f.lookups(), 1u);
+  EXPECT_EQ(f.sent_on(2), 1u);
+}
+
+TEST(L3NodeTest, SendToLinkPeerOnDownPortCountsIfaceDrop) {
+  LinkPeerFabric f;
+  f.r1.set_interface_down(1);
+  f.send_to_peer();
+  f.ctx.sched.run();
+  EXPECT_EQ(f.r1.forwarding_stats().dropped_iface_down, 1u);
+  EXPECT_EQ(f.r1.forwarding_stats().dropped_no_route, 0u);
+  EXPECT_EQ(f.sent_on(1), 0u);
+  EXPECT_EQ(f.sent_on(2), 0u);
+  EXPECT_EQ(f.r2.forwarding_stats().delivered_local, 0u);
+
+  f.r1.set_interface_up(1);
+  f.send_to_peer();
+  EXPECT_EQ(f.sent_on(1), 1u);
+  EXPECT_EQ(f.r1.forwarding_stats().dropped_iface_down, 1u);
+}
+
+TEST(L3NodeTest, HostRouteToLinkPeerWins) {
+  LinkPeerFabric f;
+  f.send_to_peer();  // stamps the link-peer entry at this table epoch
+  EXPECT_EQ(f.sent_on(1), 1u);
+  f.r1.routes().set(ip::Ipv4Prefix(f.peer, 32), ip::RouteProto::kStatic,
+                    {{f.other, 2}});
+  f.send_to_peer();
+  EXPECT_EQ(f.sent_on(1), 1u);
+  EXPECT_EQ(f.sent_on(2), 1u);
+  EXPECT_EQ(f.lookups(), 1u);
+
+  f.r1.routes().remove(ip::Ipv4Prefix(f.peer, 32));
+  f.send_to_peer();
+  EXPECT_EQ(f.sent_on(1), 2u);
+  EXPECT_EQ(f.lookups(), 1u);
+}
+
+TEST(L3NodeTest, RouteReplacingConnectedLinkWins) {
+  LinkPeerFabric f;
+  f.send_to_peer();
+  EXPECT_EQ(f.sent_on(1), 1u);
+  // RouteTable::set overwrites the connected /31 in its slot.
+  f.r1.routes().set(f.link, ip::RouteProto::kBgp, {{f.other, 2}});
+  f.send_to_peer();
+  EXPECT_EQ(f.sent_on(1), 1u);
+  EXPECT_EQ(f.sent_on(2), 1u);
+
+  // Without the /31 nothing covers the peer.
+  f.r1.routes().remove(f.link);
+  f.send_to_peer();
+  EXPECT_EQ(f.r1.forwarding_stats().dropped_no_route, 1u);
+  EXPECT_EQ(f.sent_on(1) + f.sent_on(2), 2u);
+}
+
+// Under kWcmpFlowlet a send to a link peer takes the FIB path, whose egress
+// pick records the flow's port in the flowlet table. The record shows when
+// the peer then gains a second, far heavier, next hop: inside the flowlet
+// gap the flow stays on its recorded port instead of being redrawn.
+TEST(L3NodeTest, FlowletModeSendToLinkPeerKeepsFlowletWrites) {
+  LinkPeerFabric f;
+  f.r1.enable_path_select(util::PathSelect::kWcmpFlowlet);
+  f.send_to_peer();
+  EXPECT_EQ(f.sent_on(1), 1u);
+  EXPECT_EQ(f.lookups(), 1u);
+
+  f.r1.routes().set(ip::Ipv4Prefix(f.peer, 32), ip::RouteProto::kStatic,
+                    {{f.peer, 1, 1}, {f.other, 2, 1'000'000}});
+  f.send_to_peer();
+  EXPECT_EQ(f.sent_on(1), 2u) << "the flowlet recorded on port 1 stays open";
+  EXPECT_EQ(f.sent_on(2), 0u);
+
+  // A fresh flow is drawn by weight: the heavy member wins.
+  f.r1.send_udp(f.self, f.peer, 4001, 5000, {1, 2, 3, 4},
+                net::TrafficClass::kIpData);
+  EXPECT_EQ(f.sent_on(2), 1u);
+}
+
+// Two ports configured on one /31 (a misconfiguration) both list the same
+// peer; the connected route, and so every send, follows the later one.
+TEST(L3NodeTest, DuplicateLinkSubnetFollowsTheLaterPort) {
+  LinkPeerFabric f;
+  f.r1.configure_port(2, f.self, 31);
+  EXPECT_EQ(f.r1.connected_port(f.peer), 2u);
+  f.send_to_peer();
+  EXPECT_EQ(f.sent_on(1), 0u);
+  EXPECT_EQ(f.sent_on(2), 1u);
+}
+
+TEST(L3NodeTest, ConnectedPortFollowsTheFib) {
+  LinkPeerFabric f;
+  EXPECT_EQ(f.r1.connected_port(f.peer), 1u);
+  EXPECT_EQ(f.r1.connected_port(f.other), 2u);
+  EXPECT_EQ(f.r1.connected_port(f.self), 1u);  // covered, not a link peer
+  EXPECT_EQ(f.r1.connected_port(ip::Ipv4Addr::parse("10.0.2.1")), 0u);
+
+  // A peer whose /31 is no longer the connected route has no port, even
+  // when the route that replaced it leaves on the same port.
+  f.r1.routes().set(f.link, ip::RouteProto::kBgp, {{f.peer, 1}});
+  EXPECT_EQ(f.r1.connected_port(f.peer), 0u);
+  f.r1.routes().set(f.link, ip::RouteProto::kBgp, {{f.other, 2}});
+  EXPECT_EQ(f.r1.connected_port(f.peer), 0u);
+  f.r1.routes().remove(f.link);
+  EXPECT_EQ(f.r1.connected_port(f.peer), 0u);
+  f.r1.configure_port(1, f.self, 31);
+  EXPECT_EQ(f.r1.connected_port(f.peer), 1u);
+  f.r1.routes().set(ip::Ipv4Prefix(f.peer, 32), ip::RouteProto::kStatic,
+                    {{f.other, 2}});
+  EXPECT_EQ(f.r1.connected_port(f.peer), 0u);
+
+  // Re-addressing port 2 onto a /24 takes its old peer out of the table;
+  // the FIB still holds the old connected /31.
+  f.r1.configure_port(2, ip::Ipv4Addr::parse("10.0.5.1"), 24);
+  EXPECT_EQ(f.r1.connected_port(f.other), 2u);
+  EXPECT_EQ(f.r1.connected_port(ip::Ipv4Addr::parse("10.0.5.9")), 2u);
+}
+
 }  // namespace
 }  // namespace mrmtp::transport
