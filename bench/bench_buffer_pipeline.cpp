@@ -8,6 +8,8 @@
 //   2. The 8-PoD scalability point (TC1 + TC2 averaged over the sweep seeds),
 //      the same protocol grid as BENCH_scalability.json, so events/sec can
 //      be compared directly against the PR 2 baseline.
+//      On BGP rows `allocs_avoided` counts only the probe stream's transit
+//      LPM lookups: BGP and BFD packets to a link neighbor skip the FIB.
 #include <fstream>
 
 #include "bench_common.hpp"

@@ -9,6 +9,11 @@
 // mark (peak pending events) at each size, and writes
 // everything to BENCH_scalability.json so the perf trajectory is
 // machine-tracked.
+//
+// The BGP rows' `allocs_avoided` and `cache_hit_rate` count only the probe
+// stream's transit LPM lookups: BGP and BFD packets to a link neighbor skip
+// the FIB, so those columns read 14,990-14,993 avoided walks at every
+// 3-tier size from 2 to 64 PoDs and say nothing about the control plane.
 #include <algorithm>
 #include <fstream>
 

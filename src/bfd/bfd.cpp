@@ -4,16 +4,6 @@
 
 namespace mrmtp::bfd {
 
-std::string_view to_string(BfdState s) {
-  switch (s) {
-    case BfdState::kAdminDown: return "AdminDown";
-    case BfdState::kDown: return "Down";
-    case BfdState::kInit: return "Init";
-    case BfdState::kUp: return "Up";
-  }
-  return "?";
-}
-
 net::Buffer BfdPacket::serialize() const {
   net::BufferWriter w(kSize);
   w.u8(0x20);  // version 1, diag 0
@@ -46,13 +36,11 @@ BfdPacket BfdPacket::parse(std::span<const std::uint8_t> data) {
 }
 
 BfdSession::BfdSession(transport::L3Node& node, ip::Ipv4Addr local,
-                       ip::Ipv4Addr peer, Config config,
-                       StateCallback on_state_change,
+                       ip::Ipv4Addr peer, StateCallback on_state_change,
                        std::uint32_t discriminator)
     : node_(node),
       local_(local),
       peer_(peer),
-      config_(config),
       on_state_change_(std::move(on_state_change)),
       discriminator_(discriminator),
       tx_timer_(node.sim().sched, [this] {
@@ -75,12 +63,11 @@ void BfdSession::start() {
 void BfdSession::arm_tx() {
   // RFC 5880 section 6.8.7: apply 75..100% jitter to the transmit interval
   // so control packets never self-synchronize.
-  std::uint64_t span = static_cast<std::uint64_t>(config_.tx_interval.ns() / 4);
+  constexpr auto span = static_cast<std::uint64_t>(kTxInterval.ns() / 4);
   sim::Rng& rng = rng_ ? *rng_ : node_.sim().rng;
   sim::Duration interval =
-      config_.tx_interval -
-      sim::Duration::nanos(static_cast<std::int64_t>(
-          span == 0 ? 0 : rng.below(span)));
+      kTxInterval -
+      sim::Duration::nanos(static_cast<std::int64_t>(rng.below(span)));
   tx_timer_.start(interval);
 }
 
@@ -121,11 +108,11 @@ void BfdSession::handle_packet(const BfdPacket& pkt) {
 void BfdSession::send_control() {
   BfdPacket pkt;
   pkt.state = state_;
-  pkt.detect_mult = static_cast<std::uint8_t>(config_.detect_mult);
+  pkt.detect_mult = static_cast<std::uint8_t>(kDetectMult);
   pkt.my_discriminator = discriminator_;
   pkt.your_discriminator = remote_discriminator_;
   pkt.desired_min_tx_us =
-      static_cast<std::uint32_t>(config_.tx_interval.to_micros());
+      static_cast<std::uint32_t>(kTxInterval.to_micros());
   pkt.required_min_rx_us = pkt.desired_min_tx_us;
   node_.send_udp(local_, peer_, kBfdPort, kBfdPort, pkt.serialize(),
                  net::TrafficClass::kBfd);
@@ -145,7 +132,7 @@ void BfdSession::set_state(BfdState s) {
 }
 
 void BfdSession::arm_detect() {
-  detect_timer_.start(config_.tx_interval * config_.detect_mult);
+  detect_timer_.start(detection_time());
 }
 
 BfdManager::BfdManager(transport::L3Node& node) : node_(node) {
@@ -165,7 +152,6 @@ BfdManager::BfdManager(transport::L3Node& node) : node_(node) {
 }
 
 BfdSession& BfdManager::create_session(ip::Ipv4Addr local, ip::Ipv4Addr peer,
-                                       BfdSession::Config config,
                                        BfdSession::StateCallback on_change) {
   auto at = std::upper_bound(
       sessions_.begin(), sessions_.end(), peer,
@@ -173,7 +159,7 @@ BfdSession& BfdManager::create_session(ip::Ipv4Addr local, ip::Ipv4Addr peer,
         return p < s->peer();
       });
   at = sessions_.insert(
-      at, std::make_unique<BfdSession>(node_, local, peer, config,
+      at, std::make_unique<BfdSession>(node_, local, peer,
                                        std::move(on_change),
                                        next_discriminator_++));
   return **at;

@@ -18,6 +18,9 @@
 namespace mrmtp::bfd {
 
 constexpr std::uint16_t kBfdPort = 3784;
+/// Transmit interval and detect multiplier of every session (paper §VII.F).
+inline constexpr sim::Duration kTxInterval = sim::Duration::millis(100);
+inline constexpr int kDetectMult = 3;
 
 enum class BfdState : std::uint8_t {
   kAdminDown = 0,
@@ -25,8 +28,6 @@ enum class BfdState : std::uint8_t {
   kInit = 2,
   kUp = 3,
 };
-
-[[nodiscard]] std::string_view to_string(BfdState s);
 
 /// RFC 5880 section 4.1 control packet (mandatory section only).
 struct BfdPacket {
@@ -47,17 +48,11 @@ struct BfdPacket {
 
 class BfdSession {
  public:
-  struct Config {
-    sim::Duration tx_interval = sim::Duration::millis(100);
-    int detect_mult = 3;
-  };
-
   /// `on_state_change(up)` fires on every Up <-> Down transition.
   using StateCallback = std::function<void(bool up)>;
 
   BfdSession(transport::L3Node& node, ip::Ipv4Addr local, ip::Ipv4Addr peer,
-             Config config, StateCallback on_state_change,
-             std::uint32_t discriminator);
+             StateCallback on_state_change, std::uint32_t discriminator);
 
   void start();
   void stop();
@@ -71,8 +66,8 @@ class BfdSession {
 
   [[nodiscard]] BfdState state() const { return state_; }
   [[nodiscard]] ip::Ipv4Addr peer() const { return peer_; }
-  [[nodiscard]] sim::Duration detection_time() const {
-    return config_.tx_interval * config_.detect_mult;
+  [[nodiscard]] static constexpr sim::Duration detection_time() {
+    return kTxInterval * kDetectMult;
   }
 
  private:
@@ -84,7 +79,6 @@ class BfdSession {
   transport::L3Node& node_;
   ip::Ipv4Addr local_;
   ip::Ipv4Addr peer_;
-  Config config_;
   StateCallback on_state_change_;
   std::uint32_t discriminator_;
   std::uint32_t remote_discriminator_ = 0;
@@ -101,7 +95,6 @@ class BfdManager {
   explicit BfdManager(transport::L3Node& node);
 
   BfdSession& create_session(ip::Ipv4Addr local, ip::Ipv4Addr peer,
-                             BfdSession::Config config,
                              BfdSession::StateCallback on_state_change);
 
   /// The session to `peer`; of several, the first created.

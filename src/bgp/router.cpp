@@ -11,6 +11,12 @@ namespace mrmtp::bgp {
 namespace {
 constexpr std::uint16_t kEphemeralBase = 20000;
 
+/// "timers bgp 1 3" (Listing 1) and the connect-retry interval, before
+/// jitter.
+constexpr sim::Duration kKeepalive = sim::Duration::seconds(1);
+constexpr sim::Duration kHold = sim::Duration::seconds(3);
+constexpr sim::Duration kConnectRetry = sim::Duration::seconds(1);
+
 std::uint64_t hash_path(std::span<const std::uint32_t> path) {
   std::uint64_t h = util::mix64(path.size());
   for (std::uint32_t asn : path) h = util::mix64(h ^ asn);
@@ -132,7 +138,7 @@ void BgpRouter::start() {
             ++stats_.keepalives_sent;
             // RFC 4271 section 10: jitter each interval by 0.75..1.0 so
             // keep-alives across the fabric do not phase-lock.
-            ref.keepalive_timer->start(jittered(ref, config_.timers.keepalive));
+            ref.keepalive_timer->start(jittered(ref, kKeepalive));
           }
         });
     peer->retry_timer = std::make_unique<sim::Timer>(
@@ -144,7 +150,7 @@ void BgpRouter::start() {
 
     if (config_.enable_bfd) {
       bfd::BfdSession& session =
-          bfd_->create_session(n.local_addr, n.peer_addr, config_.bfd,
+          bfd_->create_session(n.local_addr, n.peer_addr,
                                [this, &ref](bool up) {
                                  if (!up) drop_session(ref);
                                });
@@ -235,10 +241,10 @@ void BgpRouter::attach_connection(Peer& peer, transport::TcpConnection& conn) {
             send_message(peer,
                          OpenMessage{config_.asn,
                                      static_cast<std::uint16_t>(
-                                         config_.timers.hold.to_seconds()),
+                                         kHold.to_seconds()),
                                      config_.router_id});
             peer.state = SessionState::kOpenSent;
-            peer.hold_timer->start(config_.timers.hold);
+            peer.hold_timer->start(kHold);
           },
       .on_data =
           [this, &peer](std::span<const std::uint8_t> data) {
@@ -257,8 +263,8 @@ sim::Duration BgpRouter::jittered(Peer& peer, sim::Duration base) {
 
 void BgpRouter::session_established(Peer& peer) {
   peer.state = SessionState::kEstablished;
-  peer.keepalive_timer->start(jittered(peer, config_.timers.keepalive));
-  peer.hold_timer->start(config_.timers.hold);
+  peer.keepalive_timer->start(jittered(peer, kKeepalive));
+  peer.hold_timer->start(kHold);
   // Initial full-table advertisement.
   for (PrefixId id : by_prefix_) {
     if (!ribs_[id].chosen.empty() || ribs_[id].originated) {
@@ -290,8 +296,7 @@ void BgpRouter::drop_session(Peer& peer) {
   if (was_established) {
     ++stats_.sessions_flapped;
     if (config_.timers.damping_penalty > 0) {
-      peer.damp_penalty = decayed_penalty(peer) + config_.timers.damping_penalty;
-      peer.damp_updated = ctx_.now();
+      peer.damp.charge(ctx_.now(), config_.timers.damping_penalty);
     }
   }
   if (was_established && on_neighbor_down) {
@@ -318,16 +323,15 @@ void BgpRouter::drop_session(Peer& peer) {
 void BgpRouter::schedule_retry(Peer& peer) {
   auto jitter = sim::Duration::nanos(
       static_cast<std::int64_t>(draw_rng(peer).below(100'000'000ull)));
-  sim::Duration wait = config_.timers.connect_retry + jitter;
+  sim::Duration wait = kConnectRetry + jitter;
   if (config_.timers.damping_penalty > 0) {
-    double pen = decayed_penalty(peer);
-    if (pen >= config_.timers.damping_suppress) {
+    double pen = peer.damp.at(ctx_.now());
+    if (pen >= sim::kDampingSuppress) {
       // Defer the reconnect until the penalty would decay to the reuse
       // threshold: half_life * log2(penalty / reuse).
-      double halves = std::log2(pen / config_.timers.damping_reuse);
+      double halves = std::log2(pen / sim::kDampingReuse);
       auto suppress = sim::Duration::nanos(static_cast<std::int64_t>(
-          halves *
-          static_cast<double>(config_.timers.damping_half_life.ns())));
+          halves * static_cast<double>(sim::kDampingHalfLife.ns())));
       if (suppress > wait) {
         wait = suppress;
         ++stats_.retries_damped;
@@ -337,18 +341,9 @@ void BgpRouter::schedule_retry(Peer& peer) {
   peer.retry_timer->start(wait);
 }
 
-double BgpRouter::decayed_penalty(const Peer& peer) const {
-  if (peer.damp_penalty <= 0.0) return 0.0;
-  sim::Duration dt = ctx_.now() - peer.damp_updated;
-  if (dt <= sim::Duration{}) return peer.damp_penalty;
-  return peer.damp_penalty *
-         std::exp2(-static_cast<double>(dt.ns()) /
-                   static_cast<double>(config_.timers.damping_half_life.ns()));
-}
-
 double BgpRouter::peer_damping_penalty(ip::Ipv4Addr peer_addr) const {
   for (const auto& peer : peers_) {
-    if (peer->cfg.peer_addr == peer_addr) return decayed_penalty(*peer);
+    if (peer->cfg.peer_addr == peer_addr) return peer->damp.at(ctx_.now());
   }
   return 0.0;
 }
@@ -379,7 +374,7 @@ void BgpRouter::handle_message(Peer& peer, const BgpMessage& msg) {
     if (peer.state == SessionState::kOpenSent) {
       send_message(peer, KeepaliveMessage{});
       peer.state = SessionState::kOpenConfirm;
-      peer.hold_timer->start(config_.timers.hold);
+      peer.hold_timer->start(kHold);
     }
     return;
   }
@@ -729,9 +724,9 @@ std::string BgpRouter::config_text() const {
   out += "no ipv6 forwarding\n";
   out += "router bgp " + std::to_string(config_.asn) + "\n";
   out += " timers bgp " +
-         std::to_string(static_cast<long long>(config_.timers.keepalive.to_seconds())) +
+         std::to_string(static_cast<long long>(kKeepalive.to_seconds())) +
          " " +
-         std::to_string(static_cast<long long>(config_.timers.hold.to_seconds())) +
+         std::to_string(static_cast<long long>(kHold.to_seconds())) +
          "\n";
   for (const auto& n : config_.neighbors) {
     out += " neighbor " + n.peer_addr.str() + " remote-as " +
@@ -748,8 +743,7 @@ std::string BgpRouter::config_text() const {
   out += " exit-address-family\n";
   if (config_.enable_bfd) {
     out += "bfd\n profile lowerIntervals\n  transmit-interval " +
-           std::to_string(static_cast<long long>(config_.bfd.tx_interval.to_millis())) +
-           "\n";
+           std::to_string(bfd::kTxInterval.ns() / 1'000'000) + "\n";
     for (const auto& n : config_.neighbors) {
       out += " peer " + n.peer_addr.str() + "\n  profile lowerIntervals\n";
     }

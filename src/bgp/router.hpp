@@ -25,28 +25,22 @@
 
 #include "bfd/bfd.hpp"
 #include "bgp/message.hpp"
+#include "sim/flap_damping.hpp"
 #include "transport/l3_node.hpp"
 
 namespace mrmtp::bgp {
 
 struct BgpTimers {
-  sim::Duration keepalive = sim::Duration::seconds(1);
-  sim::Duration hold = sim::Duration::seconds(3);
   /// MinRouteAdvertisementIntervalTimer. FRR's datacenter profile uses 0;
   /// the ablation bench sweeps it.
   sim::Duration mrai = sim::Duration::seconds(0);
-  sim::Duration connect_retry = sim::Duration::seconds(1);
-
-  // --- flap damping (RFC 2439-flavoured, disabled when penalty == 0) ---
-  /// Figure-of-merit added per Established->down flap, halving every
-  /// `damping_half_life`. While the decayed penalty is at or above
-  /// `damping_suppress`, reconnect attempts are deferred until the penalty
-  /// would decay to `damping_reuse` — a flapping session backs off instead
-  /// of re-amplifying the withdrawal storm that killed it.
+  /// Flap damping (RFC 2439-flavoured, disabled when zero): the figure of
+  /// merit added per Established->down flap. While the decayed penalty is at
+  /// or above sim::kDampingSuppress, reconnect attempts are deferred until
+  /// it would decay to sim::kDampingReuse — a flapping session backs off
+  /// instead of re-amplifying the withdrawal storm that killed it
+  /// (sim/flap_damping.hpp).
   double damping_penalty = 0;
-  double damping_suppress = 2500;
-  double damping_reuse = 750;
-  sim::Duration damping_half_life = sim::Duration::seconds(2);
 };
 
 struct NeighborConfig {
@@ -59,8 +53,8 @@ struct BgpConfig {
   std::uint32_t asn = 0;
   std::uint32_t router_id = 0;
   BgpTimers timers;
+  /// BFD at the paper's 100 ms x 3 (bfd::kTxInterval, bfd::kDetectMult).
   bool enable_bfd = false;
-  bfd::BfdSession::Config bfd;
   std::vector<NeighborConfig> neighbors;
   /// Locally originated prefixes (a ToR's server subnet).
   std::vector<ip::Ipv4Prefix> originate;
@@ -213,9 +207,7 @@ class BgpRouter : public transport::L3Node {
     /// Prefixes whose advertisement must be re-evaluated at next flush,
     /// ascending by prefix.
     std::vector<PrefixId> pending;
-    /// Flap-damping figure of merit (lazy exponential decay).
-    double damp_penalty = 0;
-    sim::Time damp_updated{};
+    sim::FlapPenalty damp;
     /// Private jitter stream (use_stream_rng); empty: shared ctx rng.
     std::optional<sim::Rng> rng;
   };
@@ -226,8 +218,6 @@ class BgpRouter : public transport::L3Node {
   void session_established(Peer& peer);
   void drop_session(Peer& peer);
   void schedule_retry(Peer& peer);
-  /// Peer's damping penalty decayed to the current instant (no mutation).
-  [[nodiscard]] double decayed_penalty(const Peer& peer) const;
   void handle_stream(Peer& peer, std::span<const std::uint8_t> data);
   void handle_message(Peer& peer, const BgpMessage& msg);
   void send_message(Peer& peer, const BgpMessage& msg);

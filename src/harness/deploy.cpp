@@ -157,7 +157,7 @@ void Deployment::deploy_mtp(const DeployOptions& options) {
     routers_.push_back(&router);
   }
 
-  add_hosts(options);
+  add_hosts();
   wire(options);
 }
 
@@ -176,7 +176,6 @@ void Deployment::deploy_bgp(const DeployOptions& options) {
     cfg.router_id = d + 1;
     cfg.timers = options.bgp_timers;
     cfg.enable_bfd = proto_ == Proto::kBgpBfd;
-    cfg.bfd = options.bfd;
     for (std::uint32_t li = 0; li < bp.links().size(); ++li) {
       const auto& link = bp.links()[li];
       if (link.upper == d) {
@@ -201,7 +200,7 @@ void Deployment::deploy_bgp(const DeployOptions& options) {
     routers_.push_back(&router);
   }
 
-  add_hosts(options);
+  add_hosts();
   wire(options);
 
   // Interface addressing: /31 per fabric link, /24 gateway on rack ports.
@@ -221,24 +220,13 @@ void Deployment::deploy_bgp(const DeployOptions& options) {
   }
 }
 
-void Deployment::add_hosts(const DeployOptions& options) {
+void Deployment::add_hosts() {
   for (const auto& hs : blueprint_->hosts()) {
     // Hosts follow their ToR's shard: the rack link never crosses threads.
     net::SimContext& ctx = device_ctx(hs.leaf);
-    if (options.vtep_hosts) {
-      hosts_.push_back(&network_.add_node_on<traffic::VtepHost>(
-          ctx, hs.name, hs.addr, 24, hs.gateway));
-    } else {
-      hosts_.push_back(&network_.add_node_on<traffic::Host>(
-          ctx, hs.name, hs.addr, 24, hs.gateway));
-    }
+    hosts_.push_back(&network_.add_node_on<traffic::Host>(
+        ctx, hs.name, hs.addr, 24, hs.gateway));
   }
-}
-
-traffic::VtepHost& Deployment::vtep(std::uint32_t host_index) {
-  auto* v = dynamic_cast<traffic::VtepHost*>(hosts_[host_index]);
-  if (v == nullptr) throw std::logic_error("Deployment: not a VTEP host");
-  return *v;
 }
 
 void Deployment::wire(const DeployOptions& options) {
@@ -539,7 +527,6 @@ net::LinkDirStats link_totals(const net::Network& network) {
       t.data_backlog_hw_ns =
           std::max(t.data_backlog_hw_ns, d->data_backlog_hw_ns);
       t.ecn_marked_data += d->ecn_marked_data;
-      t.ecn_marked_ctrl += d->ecn_marked_ctrl;
       t.pause_tx += d->pause_tx;
       t.pause_rx += d->pause_rx;
       t.dropped_buffer += d->dropped_buffer;

@@ -15,7 +15,7 @@
 #include "net/switch_buffer.hpp"
 #include "sim/parallel.hpp"
 #include "topo/clos.hpp"
-#include "traffic/vxlan.hpp"
+#include "traffic/host.hpp"
 
 namespace mrmtp::harness {
 
@@ -75,11 +75,7 @@ inline constexpr Proto kAllProtos[] = {Proto::kMtp, Proto::kBgp, Proto::kBgpBfd}
 
 struct DeployOptions {
   mtp::MtpTimers mtp_timers;            // paper: hello 50 ms / dead 100 ms
-  /// Instantiate servers as VXLAN tunnel endpoints (traffic::VtepHost)
-  /// instead of plain hosts — the paper's assumed VM deployment (§III.A).
-  bool vtep_hosts = false;
-  bgp::BgpTimers bgp_timers;            // paper: keepalive 1 s / hold 3 s
-  bfd::BfdSession::Config bfd;          // paper: tx 100 ms, mult 3
+  bgp::BgpTimers bgp_timers;            // MRAI and flap damping
   net::Link::Params link;               // fabric links
   net::Link::Params host_link;          // server-to-ToR links
 
@@ -139,8 +135,6 @@ class Deployment {
   [[nodiscard]] traffic::Host& host(std::uint32_t host_index) {
     return *hosts_[host_index];
   }
-  /// Typed access when deployed with DeployOptions::vtep_hosts.
-  [[nodiscard]] traffic::VtepHost& vtep(std::uint32_t host_index);
   [[nodiscard]] std::size_t router_count() const { return routers_.size(); }
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
 
@@ -184,7 +178,7 @@ class Deployment {
  private:
   void deploy_mtp(const DeployOptions& options);
   void deploy_bgp(const DeployOptions& options);
-  void add_hosts(const DeployOptions& options);
+  void add_hosts();
   void wire(const DeployOptions& options);
   /// Fills active_ / host_active_ from options.deferred_pods and computes
   /// each device's leaf scope by walking up the wired hierarchy.

@@ -135,7 +135,10 @@ Table hot_path_table(Deployment& dep, bool busy_only) {
   } else {
     // BGP speakers run the cached-LPM fast path in their RouteTable, so the
     // same columns apply: avoided candidate-vector walks and epoch-validated
-    // cache hits per node.
+    // cache hits per node. They count transit lookups of the data (probe)
+    // stream only: BGP and BFD packets to a link neighbor skip the FIB
+    // (transport::L3Node's link-peer table), so the columns track the probe
+    // flow, not the fabric size or the control plane.
     std::uint64_t fwd = 0, avoided = 0, hits = 0, misses = 0;
     for (std::uint32_t d = 0;
          d < static_cast<std::uint32_t>(dep.router_count()); ++d) {

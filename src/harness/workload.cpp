@@ -48,7 +48,7 @@ WorkloadRunResult run_workload(const WorkloadRunSpec& spec) {
     camp.start = t_launch + camp.spacing;
     camp.heal_after = camp.spacing / 2;
     camp.w_blackhole = camp.w_loss = camp.w_ramp = 0;
-    camp.w_flap = camp.w_correlated = camp.w_congestion = 0;
+    camp.w_flap = camp.w_congestion = 0;
     camp.w_squeeze = 1.0;
     camp.squeeze_frac = spec.squeeze_frac;
     chaos->run_campaign(camp);

@@ -5,21 +5,6 @@
 
 namespace mrmtp::mtp {
 
-std::string_view to_string(MsgType t) {
-  switch (t) {
-    case MsgType::kHello: return "HELLO";
-    case MsgType::kAdvertise: return "ADVERTISE";
-    case MsgType::kJoinRequest: return "JOIN_REQUEST";
-    case MsgType::kJoinOffer: return "JOIN_OFFER";
-    case MsgType::kCtrlAck: return "CTRL_ACK";
-    case MsgType::kVidWithdraw: return "VID_WITHDRAW";
-    case MsgType::kDestUnreach: return "DEST_UNREACH";
-    case MsgType::kDestClear: return "DEST_CLEAR";
-    case MsgType::kData: return "DATA";
-  }
-  return "?";
-}
-
 namespace {
 
 template <typename Writer>

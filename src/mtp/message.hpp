@@ -35,7 +35,6 @@ enum class MsgType : std::uint8_t {
   kData = 0x09,
 };
 
-[[nodiscard]] std::string_view to_string(MsgType t);
 
 /// 1-byte keep-alive.
 struct HelloMsg {};

@@ -1,7 +1,6 @@
 #include "mtp/router.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "net/link.hpp"
 #include "util/hash.hpp"
@@ -29,6 +28,10 @@ bool merge_roots(std::vector<std::uint16_t>& roots, const VidListView& added) {
 /// load-balancing anything through it. Rack subnets therefore must not use
 /// third octet 0 (the topology builder starts VIDs at 11).
 constexpr std::uint16_t kWildcardRoot = 0;
+
+/// Reliable-control retransmission interval and cap.
+constexpr sim::Duration kRetransmit = sim::Duration::millis(100);
+constexpr int kMaxRetransmits = 10;
 }  // namespace
 
 MtpRouter::MtpRouter(net::SimContext& ctx, std::string name, MtpConfig config)
@@ -186,7 +189,7 @@ void MtpRouter::send_reliable(std::uint32_t port_number, MtpMessage msg) {
     auto found = outstanding_.find(id);
     if (found == outstanding_.end()) return;
     Outstanding& o = found->second;
-    if (o.retries >= config_.timers.max_retransmits) {
+    if (o.retries >= kMaxRetransmits) {
       // Give up; the dead timer will declare the neighbor down if it is
       // truly gone. Deferred erase: we are inside this entry's own timer.
       ctx_.sched.schedule_after(sim::Duration::nanos(0),
@@ -197,7 +200,7 @@ void MtpRouter::send_reliable(std::uint32_t port_number, MtpMessage msg) {
     send_msg(o.port, o.msg);
     o.timer->restart();
   });
-  entry.timer->start(config_.timers.retransmit);
+  entry.timer->start(kRetransmit);
   send_msg(port_number, msg);
 }
 
@@ -344,8 +347,8 @@ void MtpRouter::note_rx(net::Port& in) {
       // keeps counting, so the instant suppression lifts the (stable)
       // neighbor is re-admitted on its next keep-alive.
       if (s.damp_suppressed) {
-        decay_damping(s);
-        if (s.damp_penalty > config_.timers.damping_reuse) {
+        s.damp.decay_to(now);
+        if (s.damp.value > sim::kDampingReuse) {
           ++stats_.accepts_suppressed;
           s.last_rx = now;
           return;
@@ -360,31 +363,13 @@ void MtpRouter::note_rx(net::Port& in) {
   s.last_rx = now;
 }
 
-void MtpRouter::decay_damping(PortState& s) {
-  if (s.damp_penalty > 0.0) {
-    sim::Duration dt = ctx_.now() - s.damp_updated;
-    if (dt > sim::Duration{}) {
-      s.damp_penalty *=
-          std::exp2(-static_cast<double>(dt.ns()) /
-                    static_cast<double>(config_.timers.damping_half_life.ns()));
-    }
-  }
-  s.damp_updated = ctx_.now();
-}
-
 double MtpRouter::port_damping_penalty(std::uint32_t p) const {
-  const PortState& s = pstate(p);
-  if (s.damp_penalty <= 0.0) return 0.0;
-  sim::Duration dt = ctx_.now() - s.damp_updated;
-  if (dt <= sim::Duration{}) return s.damp_penalty;
-  return s.damp_penalty *
-         std::exp2(-static_cast<double>(dt.ns()) /
-                   static_cast<double>(config_.timers.damping_half_life.ns()));
+  return pstate(p).damp.at(ctx_.now());
 }
 
 bool MtpRouter::port_damping_suppressed(std::uint32_t p) const {
   return pstate(p).damp_suppressed &&
-         port_damping_penalty(p) > config_.timers.damping_reuse;
+         port_damping_penalty(p) > sim::kDampingReuse;
 }
 
 void MtpRouter::neighbor_up(std::uint32_t p) {
@@ -435,11 +420,8 @@ void MtpRouter::neighbor_down(std::uint32_t p) {
   s.pending_unreach.clear();
   s.pending_clear.clear();
   if (config_.timers.damping_penalty > 0) {
-    decay_damping(s);
-    s.damp_penalty += config_.timers.damping_penalty;
-    if (s.damp_penalty >= config_.timers.damping_suppress) {
-      s.damp_suppressed = true;
-    }
+    s.damp.charge(ctx_.now(), config_.timers.damping_penalty);
+    if (s.damp.value >= sim::kDampingSuppress) s.damp_suppressed = true;
   }
 
   // Abandon reliable messages directed at the dead neighbor.
@@ -663,7 +645,7 @@ void MtpRouter::handle_advertise(std::uint32_t p, const AdvertiseView& msg,
   }
   if (added) {
     retry_joins(p);
-    s.join_retry_timer->start_periodic(config_.timers.retransmit);
+    s.join_retry_timer->start_periodic(kRetransmit);
   }
 }
 

@@ -31,6 +31,7 @@
 #include "mtp/message.hpp"
 #include "mtp/vid_table.hpp"
 #include "net/network.hpp"
+#include "sim/flap_damping.hpp"
 #include "util/hash.hpp"
 
 namespace mrmtp::mtp {
@@ -45,21 +46,13 @@ struct MtpTimers {
   sim::Duration dead = sim::Duration::millis(100);
   /// Ablation switch: false accepts a neighbor on the first keep-alive.
   bool slow_to_accept = true;
-  /// Reliable-control retransmission interval and cap.
-  sim::Duration retransmit = sim::Duration::millis(100);
-  int max_retransmits = 10;
 
-  // --- flap damping (overload containment, disabled when penalty == 0) ---
-  /// Figure-of-merit added per alive->dead flap. The penalty halves every
-  /// `damping_half_life`; while it sits at or above `damping_suppress` the
-  /// port is suppressed and Slow-to-Accept streaks no longer promote the
-  /// neighbor, until decay brings it down to `damping_reuse`. With the
-  /// defaults below (once enabled) a single clean failure/recovery never
-  /// suppresses; three flaps inside a couple of seconds do.
+  /// Flap damping (overload containment, disabled when zero): the figure of
+  /// merit added per alive->dead flap. While the decayed penalty sits above
+  /// sim::kDampingReuse after reaching sim::kDampingSuppress, the port is
+  /// suppressed and Slow-to-Accept streaks no longer promote the neighbor
+  /// (sim/flap_damping.hpp).
   double damping_penalty = 0;
-  double damping_suppress = 2500;
-  double damping_reuse = 750;
-  sim::Duration damping_half_life = sim::Duration::seconds(2);
 
   // --- withdrawal-storm containment (disabled when zero) ---
   /// Minimum spacing between failure-update originations per port. The
@@ -234,9 +227,8 @@ class MtpRouter : public net::Node {
     /// Reset when the neighbor dies so a rebooted sender restarts cleanly.
     std::uint32_t last_adv_seq = 0;
 
-    // --- flap damping (lazy exponential decay) ---
-    double damp_penalty = 0;
-    sim::Time damp_updated{};
+    // --- flap damping ---
+    sim::FlapPenalty damp;
     bool damp_suppressed = false;
 
     // --- withdrawal-storm containment ---
@@ -273,8 +265,6 @@ class MtpRouter : public net::Node {
   void neighbor_up(std::uint32_t port);
   void neighbor_down(std::uint32_t port);
   void send_hello_if_idle(std::uint32_t port);
-  /// Applies the half-life decay to the port's damping penalty in place.
-  void decay_damping(PortState& s);
   /// True when the upstream neighbor on `port` holds a child of every tree
   /// we can offer (steady state: plain hellos only).
   [[nodiscard]] bool fully_assigned(std::uint32_t port) const;

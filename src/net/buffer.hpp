@@ -115,9 +115,10 @@ class BufferPool {
 /// so codec and test code reads unchanged.
 class Buffer {
  public:
-  /// Headroom reserved in front of freshly written payloads — enough for the
-  /// deepest header stack prepended on the hot path (MTP 6 + IPv4 20 + UDP 8,
-  /// VXLAN-padded; see DESIGN.md §4).
+  /// Headroom reserved in front of freshly written payloads — more than the
+  /// deepest header stack prepended on the hot path (TCP 20 + IPv4 20; MTP 6
+  /// over UDP 8 + IPv4 20). It sets which size class a slab lands in, so it
+  /// stays at 64 to keep pool counts stable (see DESIGN.md §4).
   static constexpr std::size_t kDefaultHeadroom = 64;
 
   Buffer() = default;

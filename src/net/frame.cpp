@@ -1,15 +1,6 @@
 #include "net/frame.hpp"
 
-#include <cstdio>
-
 namespace mrmtp::net {
-
-std::string MacAddr::str() const {
-  char buf[18];
-  std::snprintf(buf, sizeof(buf), "%02x:%02x:%02x:%02x:%02x:%02x", bytes[0],
-                bytes[1], bytes[2], bytes[3], bytes[4], bytes[5]);
-  return buf;
-}
 
 std::string_view to_string(TrafficClass tc) {
   switch (tc) {

@@ -9,6 +9,13 @@
 
 namespace mrmtp::net {
 
+namespace {
+/// Guaranteed control-band depth (serialization backlog) of the banded
+/// path. 100 us at 10 GbE is ~125 KB — orders of magnitude more than a
+/// fabric's worth of hellos needs.
+constexpr sim::Duration kControlQueue = sim::Duration::micros(100);
+}  // namespace
+
 Link::Link(Port& a, Port& b, Params params)
     : a_(&a), b_(&b), params_(params) {
   if (a.link_ != nullptr || b.link_ != nullptr) {
@@ -173,7 +180,7 @@ void Link::transmit_banded(int dir, Frame&& frame, SwitchBuffer* sb) {
   sim::Duration wait = control ? band_backlog_[dir][kControlBand]
                                : residual + band_backlog_[dir][kControlBand] +
                                      band_backlog_[dir][kDataBand];
-  if (wait > (control ? params_.control_queue : params_.max_queue)) {
+  if (wait > (control ? kControlQueue : params_.max_queue)) {
     ++dstats.dropped_queue_full;
     if (control) ++dstats.dropped_queue_control;
     return;
@@ -197,13 +204,12 @@ void Link::transmit_banded(int dir, Frame&& frame, SwitchBuffer* sb) {
       charged = bytes;
       ingress = from.owner().current_rx_port();
       if (ingress != 0) sb->charge_ingress(ingress, bytes);
-    }
-    std::uint64_t threshold = control ? sb->params().ecn_ctrl_threshold
-                                      : sb->params().ecn_data_threshold;
-    if (threshold > 0 && band_bytes_[dir][band] + bytes > threshold &&
-        mark_ce(frame)) {
-      ++(control ? dstats.ecn_marked_ctrl : dstats.ecn_marked_data);
-      sb->note_ecn_mark();
+      std::uint64_t threshold = sb->params().ecn_data_threshold;
+      if (threshold > 0 && band_bytes_[dir][kDataBand] + bytes > threshold &&
+          mark_ce(frame)) {
+        ++dstats.ecn_marked_data;
+        sb->note_ecn_mark();
+      }
     }
   }
   auto& hw = control ? dstats.control_backlog_hw_ns : dstats.data_backlog_hw_ns;
@@ -279,11 +285,8 @@ void Link::serialize_and_send(int dir, Frame&& frame, sim::Duration ser) {
 
   bool duplicate = params_.duplicate_probability > 0 &&
                    rng.chance(params_.duplicate_probability);
-  bool lost = params_.loss_probability > 0 &&
-              rng.chance(params_.loss_probability);
-  if (!lost && (im.loss > 0 || im.ramp_over > sim::Duration{})) {
-    lost = rng.chance(effective_loss(direction));
-  }
+  bool lost = (im.loss > 0 || im.ramp_over > sim::Duration{}) &&
+              rng.chance(effective_loss(direction));
   if (lost) {
     ++dstats.dropped_impairment;
     if (!duplicate) return;

@@ -3,11 +3,12 @@
 //
 // Impairments come in two layers:
 //   * Params carries the static, bidirectional ones set at wiring time
-//     (loss / duplication / reorder jitter).
+//     (duplication / reorder jitter).
 //   * Impairments are per-direction and runtime-mutable — the gray-failure
-//     model. A link can blackhole or drop a fraction of frames A->B while
-//     B->A stays perfectly healthy (unidirectional optics degradation), and
-//     loss can ramp up over time (a dying transceiver) via ramp_loss().
+//     model and the one source of random loss. A link can blackhole or drop
+//     a fraction of frames A->B while B->A stays perfectly healthy
+//     (unidirectional optics degradation), and loss can ramp up over time
+//     (a dying transceiver) via ramp_loss().
 // Stats are kept per direction, in the link itself, so a one-way failure is
 // visible as an asymmetric drop count.
 //
@@ -40,8 +41,6 @@ class Link {
     sim::Duration delay = sim::Duration::micros(5);
     /// Serialization rate in bits per second (10 GbE default).
     std::uint64_t bandwidth_bps = 10'000'000'000ull;
-    /// Probability a frame is silently lost (impairment testing).
-    double loss_probability = 0.0;
     /// Probability a frame is delivered twice.
     double duplicate_probability = 0.0;
     /// Extra uniform random delay in [0, reorder_jitter] per frame; a value
@@ -54,14 +53,11 @@ class Link {
     /// Class-aware egress queueing: the transmitter serves a strict-priority
     /// control band (hello/control/ACK classes, see is_control_class()) ahead
     /// of data. Data keeps the shared tail-drop bound above; control frames
-    /// are only dropped when the control band alone exceeds `control_queue`,
-    /// so an incast of data can never starve keep-alives off the wire.
-    /// Default off = today's single shared FIFO (the A/B ablation switch).
+    /// are only dropped when the control band alone exceeds its guaranteed
+    /// 100 us depth, so an incast of data can never starve keep-alives off
+    /// the wire. Default off = today's single shared FIFO (the A/B ablation
+    /// switch).
     bool priority_queues = false;
-    /// Guaranteed control-band depth (serialization backlog) when
-    /// `priority_queues` is on. 100 us at 10 GbE is ~125 KB — orders of
-    /// magnitude more than a fabric's worth of hellos needs.
-    sim::Duration control_queue = sim::Duration::micros(100);
   };
 
   /// Runtime-mutable per-direction gray-failure state. The sender still

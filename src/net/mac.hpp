@@ -7,7 +7,6 @@
 #include <array>
 #include <compare>
 #include <cstdint>
-#include <string>
 
 namespace mrmtp::net {
 
@@ -28,8 +27,6 @@ struct MacAddr {
   }
 
   [[nodiscard]] bool is_broadcast() const { return *this == broadcast(); }
-
-  [[nodiscard]] std::string str() const;
 
   auto operator<=>(const MacAddr&) const = default;
 };

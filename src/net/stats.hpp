@@ -39,7 +39,8 @@ struct LinkDirStats {
 
   /// Finite-buffer / congestion-control counters, per class (all stay zero
   /// unless the sending node has a SwitchBuffer enabled):
-  ///   ecn_marked_*   — CE marks applied at band admission, split by band.
+  ///   ecn_marked_data — CE marks applied at data-band admission (the
+  ///                    control band is never marked).
   ///   pause_tx       — PFC PAUSE/RESUME frames that traveled this direction
   ///                    (the sender asking its upstream peer to stop).
   ///   pause_rx       — pause transitions applied to this direction's data
@@ -50,7 +51,6 @@ struct LinkDirStats {
   ///   pause_ns       — cumulative time this direction's data band spent
   ///                    paused.
   std::uint64_t ecn_marked_data = 0;
-  std::uint64_t ecn_marked_ctrl = 0;
   std::uint64_t pause_tx = 0;
   std::uint64_t pause_rx = 0;
   std::uint64_t dropped_buffer = 0;
@@ -67,9 +67,7 @@ struct LinkDirStats {
   std::uint64_t flowlet_reroutes = 0;
   std::uint64_t wcmp_weight_updates = 0;
 
-  [[nodiscard]] std::uint64_t ecn_marked() const {
-    return ecn_marked_data + ecn_marked_ctrl;
-  }
+  [[nodiscard]] std::uint64_t ecn_marked() const { return ecn_marked_data; }
 
   [[nodiscard]] std::uint64_t dropped_total() const {
     return dropped_link_down + dropped_dst_down + dropped_impairment +

@@ -20,10 +20,11 @@
 // the paused transmitter), so backpressure propagates hop by hop as each
 // upstream switch's own buffers fill in turn.
 //
-// ECN: frames admitted behind more than `ecn_*_threshold` bytes of same-band
-// backlog get their IPv4 ECN field set to CE in place (checksum patched),
-// wire-accurately — receivers and transports see exactly what a real
-// ECN-marking switch would have produced.
+// ECN: data frames admitted behind more than `ecn_data_threshold` bytes of
+// data-band backlog get their IPv4 ECN field set to CE in place (checksum
+// patched), wire-accurately — receivers and transports see exactly what a
+// real ECN-marking switch would have produced. Control frames are never
+// marked.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +52,6 @@ struct SwitchBufferParams {
   /// ECN CE-mark threshold for the data band, in bytes of same-band backlog
   /// at admission. 0 = no data-band marking.
   std::uint64_t ecn_data_threshold = 64u << 10;
-  /// Same for the control band (lets BGP UPDATE storms be throttled by
-  /// DCTCP). 0 (default) = control frames are never marked.
-  std::uint64_t ecn_ctrl_threshold = 0;
   /// PFC thresholds on the per-ingress-port account: PAUSE above xoff,
   /// RESUME at/below xon. xoff = 0 disables PFC generation.
   std::uint64_t pfc_xoff_bytes = 96u << 10;

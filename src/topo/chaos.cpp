@@ -18,31 +18,6 @@ net::SimContext& sender_ctx(net::Link& link, net::Link::Dir dir) {
 }
 }  // namespace
 
-std::string_view to_string(GrayKind kind) {
-  switch (kind) {
-    case GrayKind::kUnidirBlackhole: return "unidir-blackhole";
-    case GrayKind::kUnidirLoss: return "unidir-loss";
-    case GrayKind::kDegradationRamp: return "degradation-ramp";
-    case GrayKind::kFlapStorm: return "flap-storm";
-    case GrayKind::kCorrelatedBlackhole: return "correlated-blackhole";
-    case GrayKind::kCongestionStorm: return "congestion-storm";
-    case GrayKind::kBufferSqueeze: return "buffer-squeeze";
-    case GrayKind::kMaintenance: return "maintenance";
-    case GrayKind::kExpansion: return "expansion";
-    case GrayKind::kMisconfig: return "misconfig";
-  }
-  return "?";
-}
-
-std::string_view to_string(ChaosPhase phase) {
-  switch (phase) {
-    case ChaosPhase::kOnset: return "onset";
-    case ChaosPhase::kHeal: return "heal";
-    case ChaosPhase::kRampComplete: return "ramp-complete";
-  }
-  return "?";
-}
-
 ChaosEngine::ChaosEngine(net::Network& network, const ClosBlueprint& blueprint,
                          std::uint64_t seed)
     : network_(network), blueprint_(blueprint), rng_(seed) {}
@@ -145,35 +120,6 @@ void ChaosEngine::flap_storm(const FailurePoint& fp, sim::Time at, int flaps,
   }
 }
 
-void ChaosEngine::correlated_blackhole(const std::string& device, int links,
-                                       sim::Time at) {
-  std::uint32_t d = blueprint_.device_index(device);
-  std::vector<std::uint32_t> indices;
-  for (std::uint32_t li = 0; li < blueprint_.links().size(); ++li) {
-    const auto& ls = blueprint_.links()[li];
-    if (ls.upper == d || ls.lower == d) indices.push_back(li);
-  }
-  // Seeded partial shuffle, then fail the first `links` of them together.
-  for (std::size_t i = 0; i + 1 < indices.size(); ++i) {
-    std::size_t j = i + rng_.below(indices.size() - i);
-    std::swap(indices[i], indices[j]);
-  }
-  int n = std::min<int>(links, static_cast<int>(indices.size()));
-  for (int i = 0; i < n; ++i) {
-    const auto& ls = blueprint_.links()[indices[static_cast<std::size_t>(i)]];
-    std::uint32_t peer = ls.upper == d ? ls.lower : ls.upper;
-    FailurePoint fp{device,
-                    blueprint_.port_on(d, indices[static_cast<std::size_t>(i)]),
-                    blueprint_.device(peer).name};
-    net::Link& link = link_of(fp);
-    net::Link::Dir dir = dir_of(fp, /*toward_device=*/true);
-    sender_ctx(link, dir).sched.schedule_at(
-        at, [&link, dir] { link.set_blackhole(dir, true); });
-  }
-  record(at, GrayKind::kCorrelatedBlackhole, ChaosPhase::kOnset,
-         device + " loses " + std::to_string(n) + " links together");
-}
-
 void ChaosEngine::heal(const FailurePoint& fp, sim::Time at, GrayKind healed) {
   net::Link& link = link_of(fp);
   record(at, healed, ChaosPhase::kHeal,
@@ -266,8 +212,7 @@ std::string ChaosEngine::buffer_squeeze(const std::string& device, double frac,
 
 void ChaosEngine::run_campaign(const CampaignSpec& spec) {
   const double total = spec.w_blackhole + spec.w_loss + spec.w_ramp +
-                       spec.w_flap + spec.w_correlated + spec.w_congestion +
-                       spec.w_squeeze;
+                       spec.w_flap + spec.w_congestion + spec.w_squeeze;
   for (int e = 0; e < spec.events; ++e) {
     sim::Time at = spec.start + spec.spacing * e;
     FailurePoint fp = random_fabric_point();
@@ -288,21 +233,6 @@ void ChaosEngine::run_campaign(const CampaignSpec& spec) {
     } else if ((pick -= spec.w_flap) < 0) {
       flap_storm(fp, at, spec.flaps, spec.flap_period);
       continue;  // flaps are admin events; nothing to heal on the link
-    } else if ((pick -= spec.w_correlated) < 0) {
-      correlated_blackhole(fp.device, spec.correlated_links, at);
-      if (spec.heal_after > sim::Duration{}) {
-        // Heal every link of the device; cheaper than tracking the subset.
-        std::uint32_t d = blueprint_.device_index(fp.device);
-        for (std::uint32_t li = 0; li < blueprint_.links().size(); ++li) {
-          const auto& ls = blueprint_.links()[li];
-          if (ls.upper != d && ls.lower != d) continue;
-          std::uint32_t peer = ls.upper == d ? ls.lower : ls.upper;
-          heal(FailurePoint{fp.device, blueprint_.port_on(d, li),
-                            blueprint_.device(peer).name},
-               at + spec.heal_after, GrayKind::kCorrelatedBlackhole);
-        }
-      }
-      continue;
     } else if ((pick -= spec.w_congestion) < 0 || spec.w_squeeze <= 0) {
       StormSpec storm;
       storm.senders = spec.storm_senders;

@@ -29,7 +29,6 @@ enum class GrayKind : std::uint8_t {
   kUnidirLoss,        // one direction drops a fraction of frames
   kDegradationRamp,   // one-way loss ramps up over time (dying optics)
   kFlapStorm,         // admin down/up toggles faster than damping
-  kCorrelatedBlackhole,  // several links of one device fail together
   kCongestionStorm,   // seeded incast burst from N hosts toward one rack
   kBufferSqueeze,     // one switch's shared buffer pool shrinks (ASIC fault /
                       // co-tenant pressure); heals by restoring the pool
@@ -40,8 +39,6 @@ enum class GrayKind : std::uint8_t {
   kMisconfig,    // operator error: asymmetric admin-down, duplicate subnet
 };
 
-[[nodiscard]] std::string_view to_string(GrayKind kind);
-
 /// Lifecycle phase of a logged chaos event. Every onset that ends (heals,
 /// finishes ramping, or stops sending) also logs its terminal phase, so a
 /// campaign replay can assert the full timeline, not just the injections.
@@ -50,8 +47,6 @@ enum class ChaosPhase : std::uint8_t {
   kHeal,          // impairment cleared / storm stopped
   kRampComplete,  // a degradation ramp reached its target loss
 };
-
-[[nodiscard]] std::string_view to_string(ChaosPhase phase);
 
 /// One injected event, for post-run reporting and assertions.
 struct ChaosEventRecord {
@@ -77,7 +72,6 @@ class ChaosEngine {
     double w_loss = 0.3;
     double w_ramp = 0.1;
     double w_flap = 0.1;
-    double w_correlated = 0.1;
     /// kUnidirLoss probability range.
     double loss_min = 0.3;
     double loss_max = 0.9;
@@ -86,8 +80,6 @@ class ChaosEngine {
     sim::Duration flap_period = sim::Duration::millis(120);
     /// kDegradationRamp: time to reach full loss.
     sim::Duration ramp_over = sim::Duration::millis(500);
-    /// kCorrelatedBlackhole: links of one device failing together.
-    int correlated_links = 2;
     /// kCongestionStorm weight. Defaults to 0 so existing seeded campaigns
     /// replay bit-identically; overload campaigns opt in.
     double w_congestion = 0.0;
@@ -131,10 +123,6 @@ class ChaosEngine {
   /// `flaps` admin down/up cycles of fp's interface, one per `period`.
   void flap_storm(const FailurePoint& fp, sim::Time at, int flaps,
                   sim::Duration period);
-  /// Simultaneous one-way blackholes on up to `links` interfaces of
-  /// `device` (correlated failure: a bad linecard / fan tray).
-  void correlated_blackhole(const std::string& device, int links,
-                            sim::Time at);
   /// Heals both directions of the link at `fp` at `at`. `healed` labels the
   /// heal record with the onset kind it terminates.
   void heal(const FailurePoint& fp, sim::Time at,

@@ -63,10 +63,6 @@ FlowSizeCdf FlowSizeCdf::hadoop() {
                       {10e6, 1.0}});
 }
 
-FlowSizeCdf FlowSizeCdf::fixed(double bytes) {
-  return FlowSizeCdf("fixed", {{bytes, 0.0}, {bytes, 1.0}});
-}
-
 double FlowSizeCdf::sample(sim::Rng& rng) const {
   const double u = rng.uniform();
   for (std::size_t i = 1; i < points_.size(); ++i) {

@@ -39,8 +39,6 @@ class FlowSizeCdf {
   static FlowSizeCdf websearch();
   /// Hadoop-style: dominated by sub-2 KB RPCs with a thin heavy tail.
   static FlowSizeCdf hadoop();
-  /// Degenerate single-size distribution (calibration runs).
-  static FlowSizeCdf fixed(double bytes);
 
   /// Inverse-CDF sample by linear interpolation; always >= 1 byte.
   [[nodiscard]] double sample(sim::Rng& rng) const;

@@ -125,8 +125,7 @@ void L3Node::route_packet(const ip::Ipv4Header& header, net::Buffer packet,
         return;
       }
     }
-    deliver_local(header, payload, tc);
-    return;
+    return;  // no handler for other protocols: dropped
   }
 
   // Every BGP and BFD session runs between link neighbors, so most packets
@@ -173,14 +172,6 @@ const ip::NextHop* L3Node::select_next_hop(ip::Ipv4Addr dst,
       [&](std::size_t i) { return nhs[i].hrw_key(); },
       [&](std::size_t i) { return nhs[i].weight; },
       [&](std::size_t i) { return nhs[i].port; })];
-}
-
-void L3Node::deliver_local(const ip::Ipv4Header& header,
-                           std::span<const std::uint8_t> payload,
-                           net::TrafficClass tc) {
-  (void)header;
-  (void)payload;
-  (void)tc;
 }
 
 std::uint64_t L3Node::flow_hash(const ip::Ipv4Header& header,

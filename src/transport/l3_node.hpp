@@ -69,7 +69,6 @@ class L3Node : public net::Node, public IpSender {
   void send_ip(ip::Ipv4Addr src, ip::Ipv4Addr dst, ip::IpProto proto,
                net::Buffer payload, net::TrafficClass traffic_class) override;
   net::SimContext& sim() override { return ctx_; }
-  [[nodiscard]] std::string endpoint_name() const override { return name(); }
 
   // --- net::Node ---
   void handle_frame(net::Port& in, net::Frame&& frame) override;
@@ -96,11 +95,6 @@ class L3Node : public net::Node, public IpSender {
   /// the FIB could send it elsewhere (see link_peer_port).
   void route_packet(const ip::Ipv4Header& header, net::Buffer packet,
                     net::TrafficClass tc, bool from_self);
-
-  /// Local delivery for protocols beyond TCP/UDP demux; default drops.
-  virtual void deliver_local(const ip::Ipv4Header& header,
-                             std::span<const std::uint8_t> payload,
-                             net::TrafficClass tc);
 
   /// 5-tuple flow hash used for ECMP selection (FNV-1a over src, dst,
   /// proto, and the first 4 payload bytes, i.e. the ports).

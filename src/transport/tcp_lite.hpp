@@ -47,7 +47,6 @@ class IpSender {
                        net::TrafficClass traffic_class) = 0;
 
   virtual net::SimContext& sim() = 0;
-  [[nodiscard]] virtual std::string endpoint_name() const = 0;
 };
 
 struct TcpFlags {

@@ -22,10 +22,6 @@ const Json* JsonObject::find(std::string_view key) const {
   return nullptr;
 }
 
-bool JsonObject::contains(std::string_view key) const {
-  return find(key) != nullptr;
-}
-
 std::int64_t Json::as_int() const {
   if (is_int()) return std::get<std::int64_t>(value_);
   if (is_double()) return static_cast<std::int64_t>(std::get<double>(value_));

@@ -25,7 +25,6 @@ class JsonObject {
  public:
   Json& operator[](std::string_view key);
   [[nodiscard]] const Json* find(std::string_view key) const;
-  [[nodiscard]] bool contains(std::string_view key) const;
   [[nodiscard]] std::size_t size() const { return members_.size(); }
   [[nodiscard]] bool empty() const { return members_.empty(); }
   [[nodiscard]] auto begin() const { return members_.begin(); }

@@ -36,10 +36,6 @@ std::string_view trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 bool parse_u64(std::string_view s, std::uint64_t& out) {
   if (s.empty()) return false;
   std::uint64_t v = 0;

@@ -17,7 +17,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 std::string_view trim(std::string_view s);
 
 /// True if `s` starts with `prefix`.
-bool starts_with(std::string_view s, std::string_view prefix);
 
 /// Parses a non-negative decimal integer; returns false on any non-digit or
 /// empty input. Accepts values up to 2^64-1.

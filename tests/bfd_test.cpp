@@ -56,10 +56,10 @@ class BfdSessionTest : public ::testing::Test {
     mgr_b_ = std::make_unique<BfdManager>(*b_);
   }
 
-  void start_sessions(BfdSession::Config cfg = {}) {
-    sa_ = &mgr_a_->create_session(addr_a_, addr_b_, cfg,
+  void start_sessions() {
+    sa_ = &mgr_a_->create_session(addr_a_, addr_b_,
                                   [this](bool up) { a_events_.push_back(up); });
-    sb_ = &mgr_b_->create_session(addr_b_, addr_a_, cfg,
+    sb_ = &mgr_b_->create_session(addr_b_, addr_a_,
                                   [this](bool up) { b_events_.push_back(up); });
     sa_->start();
     sb_->start();
@@ -91,7 +91,7 @@ TEST_F(BfdSessionTest, ComesUpThroughInitHandshake) {
 }
 
 TEST_F(BfdSessionTest, DetectsFailureWithinDetectionTime) {
-  start_sessions({.tx_interval = sim::Duration::millis(100), .detect_mult = 3});
+  start_sessions();
   run_for(sim::Duration::millis(500));
   ASSERT_EQ(sa_->state(), BfdState::kUp);
 
@@ -107,10 +107,8 @@ TEST_F(BfdSessionTest, DetectsFailureWithinDetectionTime) {
 }
 
 TEST_F(BfdSessionTest, DetectionTimeMatchesConfig) {
-  BfdSession::Config cfg{.tx_interval = sim::Duration::millis(50),
-                         .detect_mult = 4};
-  start_sessions(cfg);
-  EXPECT_EQ(sa_->detection_time().to_millis(), 200.0);
+  start_sessions();
+  EXPECT_EQ(sa_->detection_time().to_millis(), 300.0);  // 100 ms x 3
 }
 
 TEST_F(BfdSessionTest, RecoversAfterInterfaceRestored) {
@@ -148,7 +146,7 @@ TEST_F(BfdSessionTest, ControlPacketsAre66BytesOnTheWire) {
 }
 
 TEST_F(BfdSessionTest, SteadyStateRateMatchesTxInterval) {
-  start_sessions({.tx_interval = sim::Duration::millis(100), .detect_mult = 3});
+  start_sessions();
   run_for(sim::Duration::millis(500));
   std::uint64_t before =
       a_->port(1).tx_stats().of(net::TrafficClass::kBfd).frames;
@@ -170,7 +168,7 @@ TEST_F(BfdSessionTest, ManagerDemuxesByPeer) {
   for (const char* peer : {"172.16.0.9", "10.0.0.1", "192.168.1.1",
                            "172.16.0.3", "10.0.0.1"}) {
     const auto addr = ip::Ipv4Addr::parse(peer);
-    made.emplace_back(addr, &mgr_a_->create_session(addr_a_, addr, {}, {}));
+    made.emplace_back(addr, &mgr_a_->create_session(addr_a_, addr, {}));
   }
   EXPECT_EQ(mgr_a_->session_count(), 6u);
   EXPECT_EQ(mgr_a_->find(addr_b_), sa_);

@@ -151,8 +151,6 @@ TEST(BgpConfigTest, ConfigTextMatchesListing1Shape) {
   BgpConfig cfg;
   cfg.asn = 64512;
   cfg.enable_bfd = true;
-  cfg.timers.keepalive = sim::Duration::seconds(1);
-  cfg.timers.hold = sim::Duration::seconds(3);
   cfg.neighbors = {
       {ip::Ipv4Addr::parse("172.16.0.1"), ip::Ipv4Addr::parse("172.16.0.2"),
        64513},

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -13,6 +15,7 @@
 #include "harness/auditor.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
+#include "net/switch_buffer.hpp"
 #include "topo/chaos.hpp"
 
 namespace mrmtp {
@@ -194,6 +197,93 @@ TEST(FabricAuditor, FlagsPlantedBgpLoop) {
                 "192.168.13.1 revisited this hop"}));
 }
 
+/// Violations of `kind` in the auditor's log.
+std::size_t count_kind(const FabricAuditor& auditor, InvariantKind kind) {
+  return static_cast<std::size_t>(std::count_if(
+      auditor.violations().begin(), auditor.violations().end(),
+      [kind](const harness::Violation& v) { return v.kind == kind; }));
+}
+
+// A leaf whose control plane goes silent while its links stay up is
+// declared dead by both spines above it over links that are wired, admin-up
+// and unimpaired: two false-dead declarations, each logged at its spine.
+TEST(FabricAuditor, WatchLivenessFlagsDeadDeclarationOverHealthyLink) {
+  Converged f(Proto::kMtp);
+  ASSERT_TRUE(f.dep.converged());
+  FabricAuditor auditor(f.dep);
+  auditor.watch_liveness();
+
+  f.dep.mtp(f.bp.device_index("L-1-1")).stop();
+  f.ctx.sched.run_until(f.ctx.now() + sim::Duration::millis(300));
+
+  EXPECT_EQ(auditor.down_declarations(), 2u);
+  EXPECT_EQ(auditor.false_dead_count(), 2u);
+  EXPECT_EQ(count_kind(auditor, InvariantKind::kFalseDeadNeighbor), 2u);
+  EXPECT_GE(auditor.max_cascade_depth(), 1);
+  for (const harness::Violation& v : auditor.violations()) {
+    if (v.kind != InvariantKind::kFalseDeadNeighbor) continue;
+    EXPECT_TRUE(v.device.starts_with("S-1-")) << v.str();
+  }
+}
+
+// The same declaration over a blackholed link is a detected gray failure,
+// not a false dead: the watcher counts it and flags nothing.
+TEST(FabricAuditor, WatchLivenessForgivesDeadDeclarationOverBlackholedLink) {
+  Converged f(Proto::kMtp);
+  ASSERT_TRUE(f.dep.converged());
+  FabricAuditor auditor(f.dep);
+  auditor.watch_liveness();
+
+  topo::ChaosEngine chaos(f.dep.network(), f.bp, /*seed=*/7);
+  chaos.blackhole_one_way(f.bp.failure_point(topo::TestCase::kTC1),
+                          /*toward_device=*/true, f.ctx.now());
+  f.ctx.sched.run_until(f.ctx.now() + sim::Duration::millis(300));
+
+  EXPECT_GE(auditor.down_declarations(), 1u);
+  EXPECT_EQ(auditor.false_dead_count(), 0u);
+  EXPECT_EQ(count_kind(auditor, InvariantKind::kFalseDeadNeighbor), 0u);
+}
+
+// Two adjacent switches that PAUSE each other while each has data queued
+// toward the other wait on each other forever: the sweep's pause-wait graph
+// has a cycle and it is reported as one PFC deadlock.
+TEST(FabricAuditor, FlagsPauseWaitCycleAsPfcDeadlock) {
+  net::SimContext ctx(1);
+  const topo::ClosBlueprint bp(topo::ClosParams::paper_2pod());
+  harness::DeployOptions options;
+  options.switch_buffer = net::SwitchBufferParams{};
+  Deployment dep(ctx, bp, Proto::kMtp, options);
+  dep.start();
+  ctx.sched.run_until(sim::Time::zero() + kSettle);
+  FabricAuditor auditor(dep);
+  ASSERT_EQ(auditor.sweep(), 0u);
+
+  const topo::FailurePoint fp = bp.failure_point(topo::TestCase::kTC1);
+  net::Node& a = dep.network().find(fp.device);
+  net::Port& a_port = a.port(fp.port);
+  net::Node& b = a_port.peer()->owner();
+  const std::uint32_t b_port = a_port.peer()->number();
+  // Crossing the xoff threshold of each side's ingress account sends a
+  // PAUSE to the other side.
+  a.switch_buffer()->charge_ingress(fp.port, 1u << 20);
+  b.switch_buffer()->charge_ingress(b_port, 1u << 20);
+  ctx.sched.run_until(ctx.now() + sim::Duration::micros(50));
+  for (net::Node* n : {&a, &b}) {
+    net::Frame f;
+    f.ethertype = net::EtherType::kIpv4;
+    f.payload.assign(1000, 0);
+    f.traffic_class = net::TrafficClass::kIpData;
+    n->transmit(n == &a ? a_port : b.port(b_port), std::move(f));
+  }
+  const net::Link& link = *a_port.link();
+  ASSERT_TRUE(link.data_paused(net::Link::Dir::kAToB));
+  ASSERT_TRUE(link.data_paused(net::Link::Dir::kBToA));
+
+  auditor.sweep();
+  EXPECT_EQ(auditor.pfc_deadlocks(), 1u);
+  EXPECT_EQ(count_kind(auditor, InvariantKind::kPfcDeadlock), 1u);
+}
+
 TEST(ChaosEngine, BlackholeIsUnidirectional) {
   Converged f(Proto::kMtp);
   ASSERT_TRUE(f.dep.converged());
@@ -249,6 +339,128 @@ TEST(ChaosEngine, CampaignIsDeterministicPerSeed) {
   }
   EXPECT_FALSE(all_same_as_c) << "different seeds should differ";
   EXPECT_TRUE(a.first_onset().has_value());
+}
+
+// An incast storm draws its victim from the engine's seed, logs its onset
+// and heal, and starts one flow from every host outside the victim's rack
+// (the sender count caps above the nine candidates), none from inside it.
+TEST(ChaosEngine, CongestionStormSendsFromOtherRacksOnly) {
+  topo::ClosParams params = topo::ClosParams::paper_2pod();
+  params.hosts_per_tor = 3;
+  const topo::ClosBlueprint bp(params);
+  topo::ChaosEngine::StormSpec storm;
+  storm.senders = 16;
+  storm.duration = sim::Duration::millis(200);
+  storm.gap = sim::Duration::micros(100);
+
+  // The victim depends on the seed alone.
+  auto victim_of = [&](std::uint64_t seed) {
+    net::SimContext ctx(1);
+    Deployment dep(ctx, bp, Proto::kMtp);
+    topo::ChaosEngine chaos(dep.network(), bp, seed);
+    return chaos.congestion_storm(storm, sim::Time::zero());
+  };
+  EXPECT_EQ(victim_of(5), victim_of(5));
+  std::set<std::string> victims;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    victims.insert(victim_of(seed));
+  }
+  EXPECT_GT(victims.size(), 1u);
+
+  net::SimContext ctx(1);
+  Deployment dep(ctx, bp, Proto::kMtp);
+  dep.start();
+  ctx.sched.run_until(sim::Time::zero() + kSettle);
+  ASSERT_TRUE(dep.converged());
+  topo::ChaosEngine chaos(dep.network(), bp, /*seed=*/5);
+  const sim::Time at = ctx.now() + sim::Duration::millis(10);
+  const std::string victim = chaos.congestion_storm(storm, at);
+  ASSERT_EQ(victim, victim_of(5));
+
+  ASSERT_EQ(chaos.log().size(), 2u);
+  EXPECT_EQ(chaos.log()[0].kind, topo::GrayKind::kCongestionStorm);
+  EXPECT_EQ(chaos.log()[0].phase, topo::ChaosPhase::kOnset);
+  EXPECT_EQ(chaos.log()[0].at, at);
+  EXPECT_EQ(chaos.log()[1].kind, topo::GrayKind::kCongestionStorm);
+  EXPECT_EQ(chaos.log()[1].phase, topo::ChaosPhase::kHeal);
+  EXPECT_EQ(chaos.log()[1].at, at + storm.duration);
+  EXPECT_NE(chaos.log()[0].description.find(victim), std::string::npos);
+
+  ctx.sched.run_until(at + storm.duration / 2);
+  std::uint32_t victim_leaf = 0;
+  for (const topo::HostSpec& h : bp.hosts()) {
+    if (h.name == victim) victim_leaf = h.leaf;
+  }
+  int senders = 0;
+  for (std::uint32_t i = 0; i < bp.hosts().size(); ++i) {
+    const bool same_rack = bp.hosts()[i].leaf == victim_leaf;
+    EXPECT_EQ(dep.host(i).packets_sent() > 0, !same_rack)
+        << bp.hosts()[i].name;
+    if (dep.host(i).active_flows() > 0) ++senders;
+  }
+  EXPECT_EQ(senders, 9);
+  auto& sink = dynamic_cast<traffic::Host&>(dep.network().find(victim));
+  EXPECT_GT(sink.sink_stats().received, 0u);
+
+  // The heal stops every flow.
+  ctx.sched.run_until(at + storm.duration + sim::Duration::millis(1));
+  for (std::uint32_t i = 0; i < bp.hosts().size(); ++i) {
+    EXPECT_EQ(dep.host(i).active_flows(), 0u) << bp.hosts()[i].name;
+  }
+}
+
+// A flap storm takes the interface down and back up once per period.
+TEST(ChaosEngine, FlapStormTogglesTheInterface) {
+  Converged f(Proto::kMtp);
+  topo::ChaosEngine chaos(f.dep.network(), f.bp, /*seed=*/7);
+  const topo::FailurePoint fp = f.bp.failure_point(topo::TestCase::kTC1);
+  const net::Port& port = f.dep.network().find(fp.device).port(fp.port);
+  const sim::Time at = f.ctx.now() + sim::Duration::millis(10);
+  const sim::Duration period = sim::Duration::millis(100);
+  chaos.flap_storm(fp, at, /*flaps=*/3, period);
+  for (int k = 0; k < 3; ++k) {
+    f.ctx.sched.run_until(at + period * k + period / 4);
+    EXPECT_FALSE(port.admin_up()) << "flap " << k;
+    f.ctx.sched.run_until(at + period * k + period * 3 / 4);
+    EXPECT_TRUE(port.admin_up()) << "flap " << k;
+  }
+}
+
+// On a sharded fabric a link whose ends live on different shards heals each
+// direction on its own sender's shard.
+TEST(ChaosEngine, HealAcrossShardsClearsBothDirections) {
+  const topo::ClosBlueprint bp(topo::ClosParams::paper_2pod());
+  harness::ShardedFabric fabric(bp, /*threads=*/2, /*seed=*/3);
+  Deployment dep(fabric, Proto::kMtp);
+  sim::ShardedEngine& engine = fabric.engine();
+  dep.start();
+  engine.run_until(sim::Time::zero() + kSettle);
+
+  std::optional<topo::FailurePoint> fp;
+  for (std::uint32_t li = 0; li < bp.links().size() && !fp; ++li) {
+    const topo::LinkSpec& l = bp.links()[li];
+    if (fabric.plan().shard_of(l.lower) != fabric.plan().shard_of(l.upper)) {
+      fp = topo::FailurePoint{bp.device(l.lower).name, bp.port_on(l.lower, li),
+                              bp.device(l.upper).name};
+    }
+  }
+  ASSERT_TRUE(fp.has_value()) << "no link crosses the two shards";
+
+  topo::ChaosEngine chaos(dep.network(), bp, /*seed=*/7);
+  net::Link& link = chaos.link_of(*fp);
+  const sim::Time now = fabric.ctx(0).now();
+  chaos.blackhole_one_way(*fp, /*toward_device=*/true, now);
+  chaos.loss_one_way(*fp, /*toward_device=*/false, 0.5, now);
+  engine.run_until(now + sim::Duration::millis(50));
+  EXPECT_FALSE(link.deliverable(chaos.dir_of(*fp, true)));
+  EXPECT_GT(link.effective_loss(chaos.dir_of(*fp, false)), 0.0);
+
+  chaos.heal(*fp, now + sim::Duration::millis(100));
+  engine.run_until(now + sim::Duration::millis(150));
+  for (net::Link::Dir dir : {net::Link::Dir::kAToB, net::Link::Dir::kBToA}) {
+    EXPECT_FALSE(link.blackholed(dir));
+    EXPECT_EQ(link.effective_loss(dir), 0.0);
+  }
 }
 
 TEST(ChaosEngine, RampReachesTargetLoss) {

@@ -154,7 +154,7 @@ TEST_P(FuzzSeeds, ChaosCampaignKeepsForwardingInvariants) {
   spec.heal_after = sim::Duration::millis(400);
   spec.w_blackhole = 0.5;
   spec.w_loss = 0.5;
-  spec.w_ramp = spec.w_flap = spec.w_correlated = 0.0;
+  spec.w_ramp = spec.w_flap = 0.0;
   chaos.run_campaign(spec);
   // Every onset also logs its heal (satellite: full-timeline records).
   ASSERT_EQ(chaos.log().size(), 8u);

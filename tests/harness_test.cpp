@@ -300,6 +300,13 @@ TEST(ReportTest, TableAlignsAndEmitsCsv) {
   EXPECT_NE(s.find("BGP/ECMP"), std::string::npos);
   EXPECT_EQ(t.csv(), "proto,tc,ms\nMR-MTP,TC1,99.0\nBGP/ECMP,TC1,2000.1\n");
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
+
+  // Benches print the table and then a "CSV:" block, the block that
+  // scripts/bench_diff.py compares with bench/expected/.
+  ::testing::internal::CaptureStdout();
+  t.print(/*with_csv=*/true);
+  EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+            t.str() + "\nCSV:\n" + t.csv());
 }
 
 }  // namespace

@@ -354,6 +354,29 @@ TEST(Lifecycle, RebootMidHandshakeDoesNotWedgeBgpNeighbor) {
   EXPECT_EQ(auditor.sweep(), 0u);
 }
 
+// A stopped BGP+BFD router parks a sink on the BFD port: a control packet
+// still in flight from a neighbor lands there, not in the destroyed session
+// manager (the sanitized variant faults on the latter).
+TEST(Lifecycle, LateBfdPacketReachesStoppedRouterHarmlessly) {
+  Converged f(Proto::kBgpBfd);
+  ASSERT_TRUE(f.dep.converged());
+  const topo::FailurePoint fp = f.bp.failure_point(topo::TestCase::kTC1);
+  bgp::BgpRouter& owner = f.dep.bgp(f.bp.device_index(fp.device));
+  bgp::BgpRouter& peer = f.dep.bgp(f.bp.device_index(fp.peer));
+  const auto owner_addr = owner.port_addr(fp.port);
+  const auto peer_addr =
+      peer.port_addr(owner.port(fp.port).peer()->number());
+  ASSERT_TRUE(owner_addr && peer_addr);
+
+  owner.stop();
+  const std::uint64_t delivered = owner.forwarding_stats().delivered_local;
+  peer.send_udp(*peer_addr, *owner_addr, bfd::kBfdPort, bfd::kBfdPort,
+                bfd::BfdPacket{}.serialize(), net::TrafficClass::kBfd);
+  f.ctx.sched.run_until(f.ctx.now() + sim::Duration::millis(1));
+  EXPECT_GT(owner.forwarding_stats().delivered_local, delivered);
+  EXPECT_EQ(owner.established_sessions(), 0u);
+}
+
 // Reboot mid MTP bring-up (ADVERTISE/JOIN exchange in flight): the wiped
 // router must rejoin from nothing and the neighbor must not keep phantom
 // state from the half-finished exchange.

@@ -179,11 +179,51 @@ TEST_F(MtpPairTest, ReliableOffersSurviveFrameLoss) {
   spine_cfg.tier = 2;
   spine_cfg.timers.dead = sim::Duration::millis(300);
   spine_ = &network_.add_node<MtpRouter>("spine", spine_cfg);
-  network_.connect(*leaf_, *spine_, {.loss_probability = 0.15});
+  net::Link& link = network_.connect(*leaf_, *spine_);
+  link.set_loss(net::Link::Dir::kAToB, 0.15);
+  link.set_loss(net::Link::Dir::kBToA, 0.15);
   network_.start_all();
 
   run_for(sim::Duration::seconds(5));
   EXPECT_TRUE(spine_->vid_table().contains(Vid::parse("11.1")));
+}
+
+// A leaf that loses the first JOIN_REQUEST it receives, as if the wire had
+// dropped it.
+class RequestDroppingLeaf : public MtpRouter {
+ public:
+  using MtpRouter::MtpRouter;
+  void handle_frame(net::Port& in, net::Frame&& frame) override {
+    if (!dropped && frame.ethertype == net::EtherType::kMtp &&
+        !frame.payload.empty() &&
+        frame.payload[0] == static_cast<std::uint8_t>(MsgType::kJoinRequest)) {
+      dropped = true;
+      return;
+    }
+    MtpRouter::handle_frame(in, std::move(frame));
+  }
+  bool dropped = false;
+};
+
+// The lost request is re-sent by the spine's join-retry timer: the leaf's
+// later statements repeat a root the spine already has a join pending for,
+// so nothing else asks again.
+TEST(MtpJoinRetry, LostJoinRequestIsRetried) {
+  net::SimContext ctx(31);
+  net::Network network(ctx);
+  MtpConfig leaf_cfg;
+  leaf_cfg.tier = 1;
+  leaf_cfg.server_subnet = ip::Ipv4Prefix::parse("192.168.11.0/24");
+  auto& leaf = network.add_node<RequestDroppingLeaf>("leaf", leaf_cfg);
+  MtpConfig spine_cfg;
+  spine_cfg.tier = 2;
+  auto& spine = network.add_node<MtpRouter>("spine", spine_cfg);
+  network.connect(leaf, spine);
+  network.start_all();
+
+  ctx.sched.run_until(ctx.now() + sim::Duration::seconds(1));
+  EXPECT_TRUE(leaf.dropped);
+  EXPECT_TRUE(spine.vid_table().contains(Vid::parse("11.1")));
 }
 
 TEST_F(MtpPairTest, NeighborSummaryShowsState) {

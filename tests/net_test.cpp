@@ -2,6 +2,9 @@
 // the one-sided interface-failure semantics the paper's TC analysis needs.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string_view>
+
 #include "net/network.hpp"
 #include "net/switch_buffer.hpp"
 
@@ -56,6 +59,20 @@ class LinkTest : public ::testing::Test {
   SinkNode* b_ = nullptr;
   Link* link_ = nullptr;
 };
+
+// Per-class names key the capture tables of the Fig. 9 bench; each class
+// has its own.
+TEST(TrafficClassTest, EveryClassHasADistinctName) {
+  std::set<std::string_view> names;
+  for (std::size_t c = 0; c < kTrafficClassCount; ++c) {
+    std::string_view name = to_string(static_cast<TrafficClass>(c));
+    EXPECT_NE(name, "?") << c;
+    names.insert(name);
+  }
+  EXPECT_EQ(names.size(), kTrafficClassCount);
+  EXPECT_EQ(to_string(TrafficClass::kBfd), "bfd");
+  EXPECT_EQ(to_string(TrafficClass::kMtpHello), "mtp-hello");
+}
 
 TEST_F(LinkTest, DeliversWithPropagationAndSerialization) {
   wire({.delay = sim::Duration::micros(10), .bandwidth_bps = 1'000'000'000});
@@ -137,7 +154,9 @@ TEST_F(LinkTest, FramesInFlightWhenInterfaceGoesDownAreLost) {
 }
 
 TEST_F(LinkTest, RandomLossDropsApproximatelyTheConfiguredFraction) {
-  wire({.loss_probability = 0.3});
+  wire();
+  link_->set_loss(Link::Dir::kAToB, 0.3);
+  link_->set_loss(Link::Dir::kBToA, 0.3);
   const int n = 2000;
   for (int i = 0; i < n; ++i) a_->transmit(a_->port(1), make_frame(50));
   ctx_.sched.run();
@@ -259,7 +278,6 @@ TEST(BandedEgressTest, PriorityModeMatchesAnInertSwitchBuffer) {
       a.enable_switch_buffer({.pool_bytes = 1u << 30,
                               .dt_alpha = 0.0,
                               .ecn_data_threshold = 0,
-                              .ecn_ctrl_threshold = 0,
                               .pfc_xoff_bytes = 0});
     }
     std::uint8_t id = 0;

@@ -30,7 +30,6 @@ class PriorityLinkTest : public ::testing::Test {
     net::Link::Params params;
     params.bandwidth_bps = 1'000'000'000ull;
     params.max_queue = sim::Duration::micros(100);
-    params.control_queue = sim::Duration::micros(100);
     params.priority_queues = priority;
     a_ = &network_.add_node<Sink>("a", 1);
     b_ = &network_.add_node<Sink>("b", 1);
@@ -161,15 +160,13 @@ TEST_F(MtpAsymTest, LateButAliveHelloRestartsAcceptStreak) {
 TEST_F(MtpAsymTest, DampingSuppressesFlapperUntilPenaltyDecays) {
   mtp::MtpTimers damped;
   damped.damping_penalty = 1500;
-  damped.damping_suppress = 2500;
-  damped.damping_reuse = 750;
-  damped.damping_half_life = sim::Duration::seconds(1);
   wire(damped, damped);
   run_for(sim::Duration::millis(400));
   ASSERT_TRUE(spine_->neighbor_alive(1));
 
-  // Two flaps ~300 ms apart: 1500 + 1500 * 2^-0.3 ~ 2718 >= 2500 ->
-  // the spine suppresses the leaf even though its hellos now flow steadily.
+  // Two flaps ~300 ms apart: 1500 + 1500 * 2^-0.15 ~ 2852 >= 2500 (the
+  // suppress threshold) -> the spine suppresses the leaf even though its
+  // hellos now flow steadily.
   leaf_->set_interface_down(1);
   run_for(sim::Duration::millis(120));  // dead timer (100 ms) declares #1
   leaf_->set_interface_up(1);
@@ -183,15 +180,15 @@ TEST_F(MtpAsymTest, DampingSuppressesFlapperUntilPenaltyDecays) {
   EXPECT_FALSE(spine_->neighbor_alive(1));  // stable but still suppressed
   EXPECT_TRUE(spine_->port_damping_suppressed(1));
   EXPECT_GT(spine_->mtp_stats().accepts_suppressed, 0u);
-  EXPECT_GT(spine_->port_damping_penalty(1),
-            damped.damping_reuse);
+  EXPECT_GT(spine_->port_damping_penalty(1), sim::kDampingReuse);
 
-  // Penalty halves every second; ~2 s after the last flap it crosses the
-  // reuse threshold and the very next keep-alive re-admits the neighbor.
-  run_for(sim::Duration::seconds(2));
+  // Penalty halves every two seconds; ~3.9 s after the last flap it crosses
+  // the reuse threshold (750) and the very next keep-alive re-admits the
+  // neighbor.
+  run_for(sim::Duration::seconds(4));
   EXPECT_TRUE(spine_->neighbor_alive(1));
   EXPECT_FALSE(spine_->port_damping_suppressed(1));
-  EXPECT_LT(spine_->port_damping_penalty(1), damped.damping_reuse);
+  EXPECT_LT(spine_->port_damping_penalty(1), sim::kDampingReuse);
 }
 
 // ---------------------------------------------------- mtp update batching

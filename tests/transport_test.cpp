@@ -24,8 +24,8 @@ class Channel {
  public:
   class Endpoint : public IpSender {
    public:
-    Endpoint(Channel& channel, int side, std::string name)
-        : channel_(channel), side_(side), name_(std::move(name)), tcp_(*this) {}
+    Endpoint(Channel& channel, int side)
+        : channel_(channel), side_(side), tcp_(*this) {}
 
     void send_ip(ip::Ipv4Addr src, ip::Ipv4Addr dst, ip::IpProto proto,
                  net::Buffer payload,
@@ -34,7 +34,6 @@ class Channel {
       channel_.deliver(side_, src, dst, std::move(payload), traffic_class);
     }
     net::SimContext& sim() override { return channel_.ctx_; }
-    [[nodiscard]] std::string endpoint_name() const override { return name_; }
 
     TcpStack& tcp() { return tcp_; }
     std::uint64_t frames_sent = 0;
@@ -43,15 +42,14 @@ class Channel {
    private:
     Channel& channel_;
     int side_;
-    std::string name_;
     TcpStack tcp_;
   };
 
   explicit Channel(std::uint64_t seed, ChannelParams params = {})
       : ctx_(seed),
         params_(params),
-        a_(*this, 0, "a"),
-        b_(*this, 1, "b") {}
+        a_(*this, 0),
+        b_(*this, 1) {}
 
   void deliver(int from_side, ip::Ipv4Addr src, ip::Ipv4Addr dst,
                net::Buffer payload, net::TrafficClass tc) {
@@ -330,7 +328,6 @@ class SegmentLog : public IpSender {
     sent_.emplace_back(seg.seq, seg.payload.size());
   }
   net::SimContext& sim() override { return ctx; }
-  [[nodiscard]] std::string endpoint_name() const override { return "log"; }
 
   /// Segments sent since the last call.
   std::vector<std::pair<std::uint32_t, std::size_t>> take() {

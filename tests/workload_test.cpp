@@ -215,6 +215,15 @@ TEST(FlowSizeCdfTest, SampledMeanMatchesAnalyticMean) {
   }
 }
 
+// The names the workload bench writes into BENCH_workload.json.
+TEST(FlowSizeCdfTest, NamesLabelTheArtifactRows) {
+  EXPECT_EQ(FlowSizeCdf::websearch().name(), "websearch");
+  EXPECT_EQ(FlowSizeCdf::hadoop().name(), "hadoop");
+  EXPECT_EQ(to_string(Scenario::kRandomPairs), "random_pairs");
+  EXPECT_EQ(to_string(Scenario::kIncast), "incast");
+  EXPECT_EQ(to_string(Scenario::kAllToAll), "all_to_all");
+}
+
 TEST(FlowSizeCdfTest, RejectsMalformedTables) {
   EXPECT_THROW(FlowSizeCdf("x", {{0, 0.0}}), std::invalid_argument);
   EXPECT_THROW(FlowSizeCdf("x", {{0, 0.1}, {10, 1.0}}), std::invalid_argument);
