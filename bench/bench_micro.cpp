@@ -209,11 +209,12 @@ void BM_BgpUpdateCodec(benchmark::State& state) {
     u.nlri.push_back(ip::Ipv4Prefix(
         ip::Ipv4Addr(192, 168, static_cast<std::uint8_t>(11 + i), 0), 24));
   }
+  bgp::BgpMessage msg;
   for (auto _ : state) {
     auto bytes = bgp::encode(u);
     bgp::MessageReader reader;
     reader.append(bytes);
-    benchmark::DoNotOptimize(reader.next());
+    benchmark::DoNotOptimize(reader.next(msg));
   }
 }
 BENCHMARK(BM_BgpUpdateCodec);

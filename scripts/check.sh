@@ -9,12 +9,36 @@
 #
 #   scripts/check.sh            # tier-1 + every gate + sanitizers
 #   scripts/check.sh --tier1    # tier-1 + the steady-state allocation gate
+#   scripts/check.sh --tsan     # the TSan pass alone (CI's tsan job)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo"
 
 jobs="$(nproc 2>/dev/null || echo 4)"
+
+# Scheduler capture blocks, the shared HELLO payload slab and the shard
+# mailboxes all meet shard threads in these tests.
+tsan_pass() {
+  echo "== tsan: buffer + scheduler + parallel + lifecycle tests (build-tsan/) =="
+  cmake --preset tsan
+  cmake --build --preset tsan -j "$jobs" \
+    --target buffer_test sim_test net_test util_test overload_damping_test \
+             parallel_engine_test lifecycle_test \
+             scheduler_property_test buffer_backpressure_test \
+             wcmp_flowlet_test
+  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" ctest --test-dir build-tsan \
+    -R '^(buffer_test|sim_test|net_test|util_test|overload_damping_test|parallel_engine_test|lifecycle_test|scheduler_property_test|buffer_backpressure_test|wcmp_flowlet_test)$' \
+    --output-on-failure -j "$jobs"
+}
+
+if [[ "${1:-}" == "--tsan" ]]; then
+  tsan_pass
+  echo
+  echo "TSan pass passed."
+  exit 0
+fi
+
 tier1_only=false
 [[ "${1:-}" == "--tier1" ]] && tier1_only=true
 
@@ -38,16 +62,7 @@ else
   ctest --preset asan-ubsan -j "$jobs"
 
   echo
-  echo "== tsan: buffer + scheduler + parallel + lifecycle tests (build-tsan/) =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs" \
-    --target buffer_test sim_test net_test util_test overload_damping_test \
-             parallel_engine_test lifecycle_test \
-             scheduler_property_test buffer_backpressure_test \
-             wcmp_flowlet_test
-  ctest --test-dir build-tsan \
-    -R '^(buffer_test|sim_test|net_test|util_test|overload_damping_test|parallel_engine_test|lifecycle_test|scheduler_property_test|buffer_backpressure_test|wcmp_flowlet_test)$' \
-    --output-on-failure -j "$jobs"
+  tsan_pass
 fi
 
 echo

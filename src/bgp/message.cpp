@@ -111,15 +111,15 @@ void MessageReader::append(std::span<const std::uint8_t> data) {
   buffer_.insert(buffer_.end(), data.begin(), data.end());
 }
 
-std::optional<BgpMessage> MessageReader::next() {
+bool MessageReader::next(BgpMessage& out) {
   const std::uint8_t* at = buffer_.data() + head_;
   const std::size_t available = buffer_.size() - head_;
-  if (available < kHeaderSize) return std::nullopt;
+  if (available < kHeaderSize) return false;
   std::size_t length = (static_cast<std::size_t>(at[16]) << 8) | at[17];
   if (length < kHeaderSize || length > 4096) {
     throw util::CodecError("BGP: bad message length");
   }
-  if (available < length) return std::nullopt;
+  if (available < length) return false;
 
   util::BufReader r(std::span<const std::uint8_t>(at, length));
   for (int i = 0; i < 16; ++i) {
@@ -128,9 +128,9 @@ std::optional<BgpMessage> MessageReader::next() {
   r.u16();  // length (validated above)
   auto type = static_cast<MessageType>(r.u8());
 
-  BgpMessage msg = KeepaliveMessage{};
   switch (type) {
     case MessageType::kKeepalive:
+      store(out, KeepaliveMessage{});
       break;
     case MessageType::kOpen: {
       OpenMessage open;
@@ -140,18 +140,18 @@ std::optional<BgpMessage> MessageReader::next() {
       open.bgp_id = r.u32();
       std::uint8_t opt_len = r.u8();
       r.skip(opt_len);
-      msg = open;
+      store(out, open);
       break;
     }
     case MessageType::kNotification: {
       NotificationMessage notif;
       notif.code = r.u8();
       notif.subcode = r.u8();
-      msg = notif;
+      store(out, notif);
       break;
     }
     case MessageType::kUpdate: {
-      UpdateMessage update;
+      UpdateMessage& update = update_in(out);
       std::uint16_t withdrawn_len = r.u16();
       std::size_t withdrawn_end = r.position() + withdrawn_len;
       while (r.position() < withdrawn_end) {
@@ -186,7 +186,6 @@ std::optional<BgpMessage> MessageReader::next() {
         }
       }
       while (r.remaining() > 0) update.nlri.push_back(read_prefix(r));
-      msg = std::move(update);
       break;
     }
     default:
@@ -198,7 +197,27 @@ std::optional<BgpMessage> MessageReader::next() {
     buffer_.clear();
     head_ = 0;
   }
-  return msg;
+  return true;
+}
+
+UpdateMessage& MessageReader::update_in(BgpMessage& out) {
+  auto* update = std::get_if<UpdateMessage>(&out);
+  if (update == nullptr) {
+    update = &out.emplace<UpdateMessage>(std::move(spare_));
+  }
+  update->withdrawn.clear();
+  update->as_path.clear();
+  update->next_hop = ip::Ipv4Addr();
+  update->nlri.clear();
+  return *update;
+}
+
+template <class Message>
+void MessageReader::store(BgpMessage& out, const Message& msg) {
+  if (auto* update = std::get_if<UpdateMessage>(&out)) {
+    spare_ = std::move(*update);
+  }
+  out = msg;
 }
 
 }  // namespace mrmtp::bgp

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <variant>
 #include <vector>
@@ -65,13 +64,24 @@ class MessageReader {
  public:
   void append(std::span<const std::uint8_t> data);
 
-  /// Extracts the next complete message; std::nullopt if more bytes are
-  /// needed. Throws util::CodecError on malformed input (session reset).
-  std::optional<BgpMessage> next();
+  /// Decodes the next complete message into `out` and returns true; false
+  /// if more bytes are needed. Throws util::CodecError on malformed input
+  /// (session reset). A session passes the same `out` every time, so an
+  /// UPDATE's vectors keep their capacity from one UPDATE to the next, also
+  /// across the KEEPALIVEs between them.
+  bool next(BgpMessage& out);
 
   [[nodiscard]] std::size_t buffered() const { return buffer_.size() - head_; }
 
  private:
+  /// `out` as an empty UPDATE: its own vectors if it holds one, else the
+  /// ones parked in spare_.
+  UpdateMessage& update_in(BgpMessage& out);
+  /// Sets `out` to a non-UPDATE message, parking an UPDATE's vectors.
+  template <class Message>
+  void store(BgpMessage& out, const Message& msg);
+
+  UpdateMessage spare_;
   /// Stream bytes; the unread ones start at head_ (consumed messages are
   /// dropped on the next append instead of shifting the tail per message).
   std::vector<std::uint8_t> buffer_;

@@ -351,8 +351,8 @@ double BgpRouter::peer_damping_penalty(ip::Ipv4Addr peer_addr) const {
 void BgpRouter::handle_stream(Peer& peer, std::span<const std::uint8_t> data) {
   peer.reader.append(data);
   try {
-    while (auto msg = peer.reader.next()) {
-      handle_message(peer, *msg);
+    while (peer.reader.next(peer.rx)) {
+      handle_message(peer, peer.rx);
       if (peer.state == SessionState::kIdle) return;  // dropped mid-stream
     }
   } catch (const util::CodecError&) {

@@ -197,6 +197,8 @@ class BgpRouter : public transport::L3Node {
     SessionState state = SessionState::kIdle;
     transport::TcpConnection* conn = nullptr;
     MessageReader reader;
+    /// Every message of the session is decoded into this one.
+    BgpMessage rx;
     std::unique_ptr<sim::Timer> hold_timer;
     std::unique_ptr<sim::Timer> keepalive_timer;
     std::unique_ptr<sim::Timer> retry_timer;

@@ -26,7 +26,7 @@ void RouteTable::add_connected(Ipv4Prefix prefix, std::uint32_t port,
   auto& slot = by_length_[prefix.length()][prefix.network().value()];
   if (slot.nexthops.empty()) ++count_;
   slot = std::move(r);
-  ++epoch_;
+  changed(prefix);
 }
 
 void RouteTable::set(Ipv4Prefix prefix, RouteProto proto,
@@ -51,14 +51,14 @@ void RouteTable::set(Ipv4Prefix prefix, RouteProto proto,
   auto [it, inserted] = bucket.try_emplace(prefix.network().value());
   if (inserted) ++count_;
   it->second = std::move(r);
-  ++epoch_;
+  changed(prefix);
 }
 
 bool RouteTable::remove(Ipv4Prefix prefix) {
   auto& bucket = by_length_[prefix.length()];
   if (bucket.erase(prefix.network().value()) > 0) {
     --count_;
-    ++epoch_;
+    changed(prefix);
     return true;
   }
   return false;
@@ -156,6 +156,12 @@ void RouteTable::clear() {
   for (auto& bucket : by_length_) bucket.clear();
   count_ = 0;
   ++epoch_;
+  ++host_epoch_;
+}
+
+void RouteTable::changed(Ipv4Prefix prefix) {
+  ++epoch_;
+  if (prefix.length() >= 31) ++host_epoch_;
 }
 
 }  // namespace mrmtp::ip

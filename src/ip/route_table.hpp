@@ -92,6 +92,11 @@ class RouteTable {
   /// from the table stays valid while the epoch it was derived at holds.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
+  /// Moves only when a /31 or /32 route is added, replaced or removed, and
+  /// on clear(): an answer about a link peer's /31 and /32 holds while it
+  /// holds, however many other prefixes BGP installs meanwhile.
+  [[nodiscard]] std::uint64_t host_epoch() const { return host_epoch_; }
+
   /// All routes sorted by (prefix length, network); stable for dumps/tests.
   [[nodiscard]] std::vector<const Route*> sorted_routes() const;
 
@@ -105,6 +110,9 @@ class RouteTable {
   void clear();
 
  private:
+  /// Bumps epoch_, and host_epoch_ for a /31 or /32 prefix.
+  void changed(Ipv4Prefix prefix);
+
   // One direct-mapped cache line per hashed destination. Slots start at
   // epoch 0 and the table at epoch 1, so an untouched slot is never valid.
   struct LpmSlot {
@@ -117,6 +125,7 @@ class RouteTable {
   std::array<std::unordered_map<std::uint32_t, Route>, 33> by_length_;
   std::size_t count_ = 0;
   std::uint64_t epoch_ = 1;
+  std::uint64_t host_epoch_ = 1;
   mutable std::vector<LpmSlot> lpm_cache_;  // sized lazily on first lookup
   mutable SelectStats select_stats_;
 };

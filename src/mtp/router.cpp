@@ -32,6 +32,11 @@ constexpr std::uint16_t kWildcardRoot = 0;
 /// Reliable-control retransmission interval and cap.
 constexpr sim::Duration kRetransmit = sim::Duration::millis(100);
 constexpr int kMaxRetransmits = 10;
+
+/// Every HELLO's payload, the type byte alone: one immutable slab that all
+/// routers on all shard threads send, so a keep-alive allocates nothing.
+constinit const net::ConstantPayload<1> kHelloPayload{
+    {static_cast<std::uint8_t>(MsgType::kHello)}};
 }  // namespace
 
 MtpRouter::MtpRouter(net::SimContext& ctx, std::string name, MtpConfig config)
@@ -237,11 +242,12 @@ void MtpRouter::handle_frame(net::Port& in, net::Frame&& frame) {
 
   // HELLO and ADVERTISE are nearly all of the control traffic, and
   // ADVERTISE carries the sender's whole table: both are read straight from
-  // the frame's bytes, with no MtpMessage built. A HELLO's slab is released
-  // before note_rx, as decode(std::move(payload)) below releases every other
-  // message's; an ADVERTISE's goes to its handler, which may hold it. Its
-  // list is compared with the port's held list (one memcmp) and, where it
-  // repeats it, only the VIDs after it are validated.
+  // the frame's bytes, with no MtpMessage built. A HELLO's payload (the
+  // constant slab every HELLO shares) is dropped before note_rx, as
+  // decode(std::move(payload)) below releases every other message's; an
+  // ADVERTISE's goes to its handler, which may hold it. Its list is
+  // compared with the port's held list (one memcmp) and, where it repeats
+  // it, only the VIDs after it are validated.
   if (!frame.payload.empty()) {
     switch (static_cast<MsgType>(frame.payload[0])) {
       case MsgType::kHello:
@@ -460,9 +466,7 @@ void MtpRouter::send_hello_if_idle(std::uint32_t p) {
   }
   net::Port& out = port(p);
   if (!out.connected() || !out.admin_up()) return;
-  net::BufferWriter hello(1);
-  hello.u8(static_cast<std::uint8_t>(MsgType::kHello));
-  send_payload(out, MsgType::kHello, hello.take());
+  send_payload(out, MsgType::kHello, kHelloPayload.buffer());
 }
 
 bool MtpRouter::fully_assigned(std::uint32_t p) const {

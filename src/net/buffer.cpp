@@ -4,38 +4,16 @@
 #include <new>
 #include <stdexcept>
 
-#if defined(__SANITIZE_ADDRESS__)
-#define MRMTP_HAS_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define MRMTP_HAS_ASAN 1
-#endif
-#endif
-
-#ifdef MRMTP_HAS_ASAN
-#include <sanitizer/asan_interface.h>
-#endif
-
 namespace mrmtp::net {
 namespace {
 
 void poison_region(std::uint8_t* p, std::size_t n) {
   std::memset(p, 0xDD, n);
-#ifdef MRMTP_HAS_ASAN
-  __asan_poison_memory_region(p, n);
-#else
-  (void)p;
-  (void)n;
-#endif
+  util::asan_poison(p, n);
 }
 
 void unpoison_region(std::uint8_t* p, std::size_t n) {
-#ifdef MRMTP_HAS_ASAN
-  __asan_unpoison_memory_region(p, n);
-#else
-  (void)p;
-  (void)n;
-#endif
+  util::asan_unpoison(p, n);
 }
 
 }  // namespace
@@ -72,7 +50,7 @@ void BufferPool::trim() {
 BufferPool::~BufferPool() { trim(); }
 
 BufferPool::Slab* BufferPool::acquire(std::size_t capacity) {
-  std::int8_t cls = -1;
+  std::int8_t cls = kOversize;
   for (std::size_t i = 0; i < kClassCount; ++i) {
     if (capacity <= kClassSizes[i]) {
       cls = static_cast<std::int8_t>(i);
@@ -117,7 +95,9 @@ void BufferPool::release(Slab* slab) {
 
 void Buffer::reset() {
   if (slab_ != nullptr) {
-    if (--slab_->refs == 0) BufferPool::instance().release(slab_);
+    if (slab_->cls != BufferPool::kConstant && --slab_->refs == 0) {
+      BufferPool::instance().release(slab_);
+    }
     slab_ = nullptr;
   }
   off_ = len_ = 0;

@@ -18,13 +18,20 @@
 // Released slabs return to a bounded freelist; in poison mode (on by default
 // under ASan) their bytes are clobbered and the region is ASan-poisoned so a
 // stale view faults instead of silently reading recycled payload.
+//
+// A ConstantPayload is the one exception to pooling: immutable bytes in
+// static storage that every Buffer made from them shares, on every thread,
+// without touching a refcount (see below). Every MR-MTP HELLO is one.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
 #include <span>
 #include <vector>
+
+#include "util/asan.hpp"
 
 namespace mrmtp::net {
 
@@ -46,6 +53,8 @@ struct BufferPoolStats {
 
 class Buffer;
 class BufferWriter;
+template <std::size_t N>
+class ConstantPayload;
 
 /// Per-thread slab pool (the simulator is single-threaded per SimContext;
 /// thread-local state keeps the pool trivially race-free under TSan).
@@ -73,11 +82,18 @@ class BufferPool {
  private:
   friend class Buffer;
   friend class BufferWriter;
+  template <std::size_t N>
+  friend class ConstantPayload;
+
+  /// Slab::cls of a slab larger than every class: freed, never pooled.
+  static constexpr std::int8_t kOversize = -1;
+  /// Slab::cls of a ConstantPayload: never counted, pooled or freed.
+  static constexpr std::int8_t kConstant = -2;
 
   struct Slab {
     std::uint32_t refs;
     std::uint32_t capacity;
-    std::int8_t cls;  // size-class index, -1 = oversize (never pooled)
+    std::int8_t cls;  // size-class index, kOversize or kConstant
     // Payload bytes follow the header.
     [[nodiscard]] std::uint8_t* data() {
       return reinterpret_cast<std::uint8_t*>(this + 1);
@@ -90,24 +106,13 @@ class BufferPool {
 
   [[nodiscard]] Slab* acquire(std::size_t capacity);
   void release(Slab* slab);
-  static void retain(Slab* slab) { ++slab->refs; }
+  static void retain(Slab* slab) {
+    if (slab->cls != kConstant) ++slab->refs;
+  }
 
   BufferPoolStats stats_;
   std::vector<Slab*> free_[kClassCount];
-  bool poison_ = kDefaultPoison;
-
-  static constexpr bool kDefaultPoison =
-#if defined(__SANITIZE_ADDRESS__)
-      true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-      true;
-#else
-      false;
-#endif
-#else
-      false;
-#endif
+  bool poison_ = util::kAsan;
 };
 
 /// A refcounted view into a pooled slab. Value semantics: copy shares the
@@ -195,6 +200,7 @@ class Buffer {
   /// Bytes available in front of the view for in-place prepends.
   [[nodiscard]] std::size_t headroom() const { return off_; }
   /// True while this view is the slab's only owner (in-place writes legal).
+  /// Always false for a ConstantPayload, so writes to one copy first.
   [[nodiscard]] bool unique() const {
     return slab_ != nullptr && slab_->refs == 1;
   }
@@ -239,6 +245,8 @@ class Buffer {
 
  private:
   friend class BufferWriter;
+  template <std::size_t N>
+  friend class ConstantPayload;
   Buffer(BufferPool::Slab* slab, std::uint32_t off, std::uint32_t len)
       : slab_(slab), off_(off), len_(len) {}
 
@@ -247,6 +255,33 @@ class Buffer {
   BufferPool::Slab* slab_ = nullptr;
   std::uint32_t off_ = 0;
   std::uint32_t len_ = 0;
+};
+
+/// `N` immutable bytes that every Buffer made from them shares, process-wide
+/// and across shard threads. The slab's class tag makes copies and releases
+/// skip its refcount, which stays pinned at 2, so unique() is false and any
+/// write copies first. It never enters the pool or its slab counts. Give it
+/// static storage duration: Buffers made from it hold its address.
+template <std::size_t N>
+class ConstantPayload {
+ public:
+  explicit constexpr ConstantPayload(const std::uint8_t (&bytes)[N])
+      : slab_{2, static_cast<std::uint32_t>(N), BufferPool::kConstant} {
+    for (std::size_t i = 0; i < N; ++i) bytes_[i] = bytes[i];
+  }
+
+  /// A view of all N bytes, with no headroom (a prepend copies).
+  [[nodiscard]] Buffer buffer() const {
+    static_assert(offsetof(ConstantPayload, bytes_) ==
+                  sizeof(BufferPool::Slab));
+    // Never written through: every write path copies a non-unique slab.
+    return Buffer(const_cast<BufferPool::Slab*>(&slab_), 0,
+                  static_cast<std::uint32_t>(N));
+  }
+
+ private:
+  BufferPool::Slab slab_;
+  std::uint8_t bytes_[N];  // Slab::data() of slab_
 };
 
 /// Network-order write cursor over a pooled slab — the Buffer-producing

@@ -66,7 +66,10 @@ sim::Rng& Link::dir_rng(int dir) {
   return stream_rng_[dir] ? *stream_rng_[dir] : send_ctx(dir).rng;
 }
 
-void Link::schedule_delivery(int dir, sim::Time at, sim::Scheduler::Callback fn) {
+void Link::schedule_delivery(int dir, sim::Time at, Frame&& frame) {
+  auto fn = [this, dir, frame = std::move(frame)]() mutable {
+    deliver(dir, std::move(frame));
+  };
   SimContext& snd = send_ctx(dir);
   SimContext& rcv = recv_ctx(dir);
   if (snd.bus == nullptr) {
@@ -92,7 +95,8 @@ void Link::schedule_delivery(int dir, sim::Time at, sim::Scheduler::Callback fn)
     rcv.sched.schedule_at_ordered(at, order, std::move(fn));
     return;
   }
-  snd.bus->post(snd.shard, rcv.shard, at, order, std::move(fn));
+  snd.bus->post(snd.shard, rcv.shard, at, order,
+                std::function<void()>(std::move(fn)));
 }
 
 double Link::effective_loss(Dir dir) const {
@@ -299,16 +303,10 @@ void Link::serialize_and_send(int dir, Frame&& frame, sim::Duration ser) {
     // that second reference is exactly what blocks in-place mutation of the
     // delivered bytes until the duplicate lands.
     ++dstats.duplicated;
-    schedule_delivery(dir, arrival + sim::Duration::micros(1),
-                      [this, dir, copy = frame]() mutable {
-                        deliver(dir, std::move(copy));
-                      });
+    schedule_delivery(dir, arrival + sim::Duration::micros(1), Frame(frame));
   }
   // The last/only delivery moves the frame — no payload copy on transit.
-  schedule_delivery(dir, arrival,
-                    [this, dir, frame = std::move(frame)]() mutable {
-                      deliver(dir, std::move(frame));
-                    });
+  schedule_delivery(dir, arrival, std::move(frame));
 }
 
 void Link::deliver(int dir, Frame&& frame) {

@@ -223,12 +223,14 @@ class Link {
     return *end_ctx_[1 - dir];
   }
   [[nodiscard]] sim::Rng& dir_rng(int dir);
-  /// Direct schedule in a classic single-context run. In a sharded run every
-  /// delivery — same-shard included — rides the ShardBus under a
-  /// sharding-invariant order key (sender node, port, send sequence), so
-  /// same-instant arrivals at a router break ties identically at any shard
-  /// count.
-  void schedule_delivery(int dir, sim::Time at, sim::Scheduler::Callback fn);
+  /// Schedules `frame`'s arrival at the far end of `dir` at `at`. The
+  /// delivery closure (link, direction, frame) fits a 64-byte scheduler
+  /// capture block, so a send allocates nothing. Direct schedule in a
+  /// classic single-context run. In a sharded run every delivery is keyed
+  /// by a sharding-invariant order key (sender node, port, send sequence),
+  /// so same-instant arrivals at a router break ties identically at any
+  /// shard count; only cross-shard ones ride the ShardBus.
+  void schedule_delivery(int dir, sim::Time at, Frame&& frame);
 
   /// Endpoint contexts: [0] = a's owner, [1] = b's owner. Identical in every
   /// single-threaded run.

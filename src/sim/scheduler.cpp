@@ -4,7 +4,73 @@
 #include <bit>
 #include <stdexcept>
 
+#include "util/asan.hpp"
+
 namespace mrmtp::sim {
+
+Scheduler::Slot::Slot(Slot&& other) noexcept
+    : at_ns(other.at_ns),
+      order(other.order),
+      fifo(other.fifo),
+      gen(other.gen),
+      pos(other.pos),
+      ops(other.ops) {
+  if (ops != nullptr && ops->relocate != nullptr) {
+    ops->relocate(capture, other.capture);
+  } else {
+    std::memcpy(capture, other.capture, kInlineBytes);
+  }
+  other.ops = nullptr;
+}
+
+void* Scheduler::Slot::target() {
+  if (ops->storage == Storage::kInline) return capture;
+  void* p = nullptr;
+  std::memcpy(&p, capture, sizeof p);
+  return p;
+}
+
+Scheduler::~Scheduler() {
+  for (Slot& s : slots_) {
+    if (s.ops != nullptr) dispose(*s.ops, s.target());
+  }
+  // Every block is free now; lift its poisoning before the chunks go.
+  for (Block* b = free_blocks_; b != nullptr;) {
+    util::asan_unpoison(b, sizeof(Block));
+    b = b->next;
+  }
+}
+
+void* Scheduler::take_block() {
+  Block* b = free_blocks_;
+  if (b != nullptr) {
+    util::asan_unpoison(b, sizeof(Block));
+    free_blocks_ = b->next;
+    return b;
+  }
+  // Carved in order from the newest chunk, so the pages of blocks never
+  // used stay untouched.
+  if (carved_ == kBlocksPerChunk || block_chunks_.empty()) {
+    block_chunks_.push_back(
+        std::make_unique_for_overwrite<Block[]>(kBlocksPerChunk));
+    carved_ = 0;
+  }
+  return &block_chunks_.back()[carved_++];
+}
+
+void Scheduler::give_block(void* block) noexcept {
+  auto* b = static_cast<Block*>(block);
+  b->next = free_blocks_;
+  free_blocks_ = b;
+  // A capture read after its event fired or was cancelled faults under
+  // ASan; only the link word stays readable.
+  util::asan_poison(b->bytes + sizeof(Block*), sizeof(Block) - sizeof(Block*));
+}
+
+void Scheduler::dispose(const Ops& ops, void* target) noexcept {
+  if (ops.destroy != nullptr) ops.destroy(target);
+  if (ops.storage == Storage::kBlock) give_block(target);
+}
 
 Scheduler::Slot* Scheduler::slot_of(EventId id) {
   if (!id.valid()) return nullptr;
@@ -19,7 +85,7 @@ Scheduler::Slot* Scheduler::slot_of(EventId id) {
 
 void Scheduler::free_slot(std::uint32_t idx) {
   Slot& s = slots_[idx];
-  s.fn = nullptr;
+  s.ops = nullptr;
   s.pos = kNotQueued;
   ++s.gen;  // invalidates outstanding EventIds
   free_.push_back(idx);
@@ -133,8 +199,7 @@ void Scheduler::settle() {
   }
 }
 
-EventId Scheduler::schedule_at_ordered(Time at, std::uint64_t order,
-                                       Callback fn) {
+std::uint32_t Scheduler::claim(Time at, std::uint64_t order) {
   if (at < now_) {
     throw std::logic_error("Scheduler: schedule_at in the past (at=" +
                            at.str() + " now=" + now_.str() + ")");
@@ -151,22 +216,27 @@ EventId Scheduler::schedule_at_ordered(Time at, std::uint64_t order,
   s.at_ns = at.ns();
   s.order = order;
   s.fifo = next_fifo_++;
-  s.fn = std::move(fn);
-  insert(idx);
-  queue_high_water_ = std::max(queue_high_water_, pending());
-  return EventId{(static_cast<std::uint64_t>(s.gen) << 32) | (idx + 1)};
+  return idx;
 }
 
-EventId Scheduler::schedule_after(Duration delay, Callback fn) {
-  if (delay < Duration{}) delay = Duration{};
-  return schedule_at(now_ + delay, std::move(fn));
+void Scheduler::unclaim(std::uint32_t idx) { free_.push_back(idx); }
+
+EventId Scheduler::file(std::uint32_t idx) {
+  insert(idx);
+  queue_high_water_ = std::max(queue_high_water_, pending());
+  return EventId{(static_cast<std::uint64_t>(slots_[idx].gen) << 32) |
+                 (idx + 1)};
 }
 
 void Scheduler::cancel(EventId id) {
   if (slot_of(id) == nullptr) return;
   const auto idx = static_cast<std::uint32_t>((id.seq & 0xffffffffu) - 1);
   remove(idx);
+  Slot& s = slots_[idx];
+  const Ops& ops = *s.ops;
+  void* target = s.target();
   free_slot(idx);
+  dispose(ops, target);
 }
 
 bool Scheduler::reschedule(EventId id, Time at) {
@@ -196,11 +266,30 @@ void Scheduler::fire_next() {
     group.clear();
     head_ = 0;
   }
-  Callback fn = std::move(slots_[idx].fn);
+  // The callable leaves its slot before it runs: it may schedule events,
+  // which can reuse the slot or grow slots_.
+  Slot& s = slots_[idx];
+  const Ops& ops = *s.ops;
+  alignas(std::uint64_t) unsigned char capture[kInlineBytes];
+  if (ops.relocate != nullptr) {
+    ops.relocate(capture, s.capture);
+  } else {
+    std::memcpy(capture, s.capture, kInlineBytes);
+  }
+  void* target = capture;
+  if (ops.storage != Storage::kInline) {
+    std::memcpy(&target, capture, sizeof target);
+  }
   free_slot(idx);
   now_ = Time::from_ns(base_);
   ++fired_;
-  fn();
+  struct Disposer {
+    Scheduler& sched;
+    const Ops& ops;
+    void* target;
+    ~Disposer() { sched.dispose(ops, target); }
+  } disposer{*this, ops, target};
+  ops.call(target);
 }
 
 bool Scheduler::step() {

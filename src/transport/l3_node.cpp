@@ -32,13 +32,13 @@ std::uint32_t L3Node::link_peer_port(ip::Ipv4Addr addr) const {
       link_peers_.begin(), link_peers_.end(), addr,
       [](const LinkPeer& lp, ip::Ipv4Addr a) { return lp.peer < a; });
   if (it == link_peers_.end() || it->peer != addr) return 0;
-  if (it->epoch != routes_.epoch()) {
+  if (it->epoch != routes_.host_epoch()) {
     const ip::Route* r = routes_.exact(ip::Ipv4Prefix(addr, 31));
     it->fib_agrees = routes_.exact(ip::Ipv4Prefix(addr, 32)) == nullptr &&
                      r != nullptr && r->proto == ip::RouteProto::kConnected &&
                      r->nexthops.size() == 1 &&
                      r->nexthops.front().port == it->port;
-    it->epoch = routes_.epoch();
+    it->epoch = routes_.host_epoch();
   }
   return it->fib_agrees ? it->port : 0;
 }

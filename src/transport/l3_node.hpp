@@ -108,8 +108,8 @@ class L3Node : public net::Node, public IpSender {
   struct LinkPeer {
     ip::Ipv4Addr peer;
     std::uint32_t port = 0;
-    /// The routes_ epoch `fib_agrees` was computed at; 0 = never (the
-    /// table's epoch starts at 1).
+    /// The routes_ host_epoch `fib_agrees` was computed at; 0 = never (the
+    /// table's epochs start at 1).
     std::uint64_t epoch = 0;
     bool fib_agrees = false;
   };
@@ -119,7 +119,8 @@ class L3Node : public net::Node, public IpSender {
   /// `addr` is exactly that port: no /32 route for `addr`, and the /31 is
   /// still the connected route on that port (a BGP or static route set on
   /// the same prefix replaces it). 0 otherwise, and for any other address.
-  /// The check is redone only when routes_ has changed since the last one.
+  /// The check is redone only when a /31 or /32 route of routes_ has
+  /// changed since the last one (RouteTable::host_epoch).
   [[nodiscard]] std::uint32_t link_peer_port(ip::Ipv4Addr addr) const;
 
   ip::RouteTable routes_;

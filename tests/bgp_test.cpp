@@ -26,9 +26,9 @@ TEST(BgpCodecTest, OpenRoundTrip) {
 
   MessageReader reader;
   reader.append(bytes);
-  auto msg = reader.next();
-  ASSERT_TRUE(msg.has_value());
-  const auto* parsed = std::get_if<OpenMessage>(&*msg);
+  BgpMessage msg;
+  ASSERT_TRUE(reader.next(msg));
+  const auto* parsed = std::get_if<OpenMessage>(&msg);
   ASSERT_NE(parsed, nullptr);
   EXPECT_EQ(parsed->asn, 64512u);
   EXPECT_EQ(parsed->hold_time_s, 3);
@@ -45,9 +45,9 @@ TEST(BgpCodecTest, UpdateWithNlriRoundTrip) {
 
   MessageReader reader;
   reader.append(bytes);
-  auto msg = reader.next();
-  ASSERT_TRUE(msg.has_value());
-  const auto* parsed = std::get_if<UpdateMessage>(&*msg);
+  BgpMessage msg;
+  ASSERT_TRUE(reader.next(msg));
+  const auto* parsed = std::get_if<UpdateMessage>(&msg);
   ASSERT_NE(parsed, nullptr);
   EXPECT_EQ(parsed->as_path, (std::vector<std::uint32_t>{64513, 64600}));
   EXPECT_EQ(parsed->next_hop, u.next_hop);
@@ -65,7 +65,9 @@ TEST(BgpCodecTest, WithdrawOnlyUpdate) {
 
   MessageReader reader;
   reader.append(bytes);
-  auto parsed = std::get<UpdateMessage>(*reader.next());
+  BgpMessage msg;
+  ASSERT_TRUE(reader.next(msg));
+  const auto& parsed = std::get<UpdateMessage>(msg);
   ASSERT_EQ(parsed.withdrawn.size(), 1u);
   EXPECT_EQ(parsed.withdrawn[0].str(), "192.168.11.0/24");
   EXPECT_FALSE(parsed.has_nlri());
@@ -81,7 +83,9 @@ TEST(BgpCodecTest, PrefixEncodingUsesMinimalOctets) {
   EXPECT_EQ(bytes.size(), 29u);
   MessageReader reader;
   reader.append(bytes);
-  auto parsed = std::get<UpdateMessage>(*reader.next());
+  BgpMessage msg;
+  ASSERT_TRUE(reader.next(msg));
+  const auto& parsed = std::get<UpdateMessage>(msg);
   EXPECT_EQ(parsed.withdrawn[0].str(), "10.0.0.0/8");
   EXPECT_EQ(parsed.withdrawn[1].str(), "10.1.0.0/16");
   EXPECT_EQ(parsed.withdrawn[2].str(), "0.0.0.0/0");
@@ -92,7 +96,9 @@ TEST(BgpCodecTest, NotificationRoundTrip) {
   EXPECT_EQ(bytes.size(), 21u);
   MessageReader reader;
   reader.append(bytes);
-  auto parsed = std::get<NotificationMessage>(*reader.next());
+  BgpMessage msg;
+  ASSERT_TRUE(reader.next(msg));
+  const auto& parsed = std::get<NotificationMessage>(msg);
   EXPECT_EQ(parsed.code, 6);
   EXPECT_EQ(parsed.subcode, 2);
 }
@@ -110,22 +116,56 @@ TEST(MessageReaderTest, ReassemblesSplitStream) {
     std::size_t n = std::min<std::size_t>(5, stream.size() - i);
     reader.append(std::span(stream).subspan(i, n));
   }
-  auto first = reader.next();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_TRUE(std::holds_alternative<KeepaliveMessage>(*first));
-  auto second = reader.next();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_TRUE(std::holds_alternative<OpenMessage>(*second));
-  EXPECT_FALSE(reader.next().has_value());
+  BgpMessage msg;
+  ASSERT_TRUE(reader.next(msg));
+  EXPECT_TRUE(std::holds_alternative<KeepaliveMessage>(msg));
+  ASSERT_TRUE(reader.next(msg));
+  EXPECT_TRUE(std::holds_alternative<OpenMessage>(msg));
+  EXPECT_FALSE(reader.next(msg));
 }
 
 TEST(MessageReaderTest, IncompleteMessageReturnsNullopt) {
   auto k = encode(KeepaliveMessage{});
   MessageReader reader;
   reader.append(std::span(k).subspan(0, 10));
-  EXPECT_FALSE(reader.next().has_value());
+  BgpMessage msg;
+  EXPECT_FALSE(reader.next(msg));
   reader.append(std::span(k).subspan(10));
-  EXPECT_TRUE(reader.next().has_value());
+  EXPECT_TRUE(reader.next(msg));
+}
+
+TEST(MessageReaderTest, ReusedMessageHoldsOnlyTheLatestUpdate) {
+  // One BgpMessage takes an UPDATE, a KEEPALIVE and a shorter UPDATE: the
+  // second UPDATE reuses the first's vectors and keeps none of its entries.
+  UpdateMessage big;
+  big.withdrawn = {ip::Ipv4Prefix::parse("10.9.0.0/16")};
+  big.as_path = {64513, 64600, 64700};
+  big.next_hop = ip::Ipv4Addr::parse("172.16.0.1");
+  big.nlri = {ip::Ipv4Prefix::parse("192.168.11.0/24"),
+              ip::Ipv4Prefix::parse("192.168.12.0/24")};
+  UpdateMessage small;
+  small.as_path = {64514};
+  small.next_hop = ip::Ipv4Addr::parse("172.16.0.3");
+  small.nlri = {ip::Ipv4Prefix::parse("192.168.13.0/24")};
+  MessageReader reader;
+  for (const net::Buffer& b :
+       {encode(big), encode(KeepaliveMessage{}), encode(small)}) {
+    reader.append(b);
+  }
+  BgpMessage msg;
+  ASSERT_TRUE(reader.next(msg));
+  EXPECT_EQ(std::get<UpdateMessage>(msg).nlri.size(), 2u);
+  ASSERT_TRUE(reader.next(msg));
+  EXPECT_TRUE(std::holds_alternative<KeepaliveMessage>(msg));
+  ASSERT_TRUE(reader.next(msg));
+  const auto& parsed = std::get<UpdateMessage>(msg);
+  EXPECT_TRUE(parsed.withdrawn.empty());
+  EXPECT_EQ(parsed.as_path, (std::vector<std::uint32_t>{64514}));
+  EXPECT_EQ(parsed.next_hop, small.next_hop);
+  ASSERT_EQ(parsed.nlri.size(), 1u);
+  EXPECT_EQ(parsed.nlri[0].str(), "192.168.13.0/24");
+  EXPECT_GE(parsed.as_path.capacity(), 3u);
+  EXPECT_FALSE(reader.next(msg));
 }
 
 TEST(MessageReaderTest, BadMarkerThrows) {
@@ -134,7 +174,8 @@ TEST(MessageReaderTest, BadMarkerThrows) {
   k[3] = 0x00;
   MessageReader reader;
   reader.append(k);
-  EXPECT_THROW(reader.next(), util::CodecError);
+  BgpMessage msg;
+  EXPECT_THROW(reader.next(msg), util::CodecError);
 }
 
 TEST(MessageReaderTest, BadLengthThrows) {
@@ -143,7 +184,8 @@ TEST(MessageReaderTest, BadLengthThrows) {
   bogus[17] = 5;  // length 5 < header size
   MessageReader reader;
   reader.append(bogus);
-  EXPECT_THROW(reader.next(), util::CodecError);
+  BgpMessage msg;
+  EXPECT_THROW(reader.next(msg), util::CodecError);
 }
 
 TEST(BgpConfigTest, ConfigTextMatchesListing1Shape) {
@@ -246,8 +288,9 @@ class Speakers {
       auto seg = transport::TcpSegment::parse(
           std::vector<std::uint8_t>(tcp.begin(), tcp.end()));
       reader_.append(seg.payload);
-      while (auto msg = reader_.next()) {
-        const auto* u = std::get_if<UpdateMessage>(&*msg);
+      BgpMessage msg;
+      while (reader_.next(msg)) {
+        const auto* u = std::get_if<UpdateMessage>(&msg);
         if (u == nullptr) continue;
         if (!u->withdrawn.empty()) {
           std::string line = "W";

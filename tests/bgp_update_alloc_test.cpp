@@ -137,6 +137,12 @@ std::size_t repeated_update_allocs(std::size_t prefixes, std::size_t peers) {
   return allocs;
 }
 
+TEST(UpdateAllocations, RepeatedUpdateAllocatesNothing) {
+  // The session decodes into one reused message, so the second UPDATE's
+  // withdrawn, AS-path and NLRI vectors already have their capacity.
+  EXPECT_EQ(repeated_update_allocs(4, 2), 0u);
+}
+
 TEST(UpdateAllocations, RepeatedUpdateCostIsIndependentOfPrefixCount) {
   EXPECT_EQ(repeated_update_allocs(4, 2), repeated_update_allocs(64, 2));
 }

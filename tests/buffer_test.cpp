@@ -5,6 +5,8 @@
 // copies payload bytes (tracked by the pool's own counters).
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "harness/deploy.hpp"
 #include "net/buffer.hpp"
 #include "net/network.hpp"
@@ -134,6 +136,57 @@ TEST(BufferTest, MutableDataUnsharesFirst) {
   auto before = BufferPool::instance().stats();
   b.mutable_data()[1] = 0x77;
   EXPECT_EQ(delta(before).bytes_copied, 0u);
+}
+
+// Static storage, as a ConstantPayload requires.
+constinit const net::ConstantPayload<3> kConstant{{0xc0, 0xff, 0xee}};
+
+TEST(BufferTest, ConstantPayloadIsSharedWithoutRefcountOrPool) {
+  const auto before = BufferPool::instance().stats();
+  const std::uint64_t live = before.live_slabs;
+  Buffer a = kConstant.buffer();
+  Buffer b = a;
+  Buffer c = b.slice(1);
+  EXPECT_EQ(a, (std::vector<std::uint8_t>{0xc0, 0xff, 0xee}));
+  EXPECT_EQ(c, (std::vector<std::uint8_t>{0xff, 0xee}));
+  EXPECT_EQ(a.data(), b.data());
+  // The refcount never moves, and no copy is unique, so a write copies.
+  EXPECT_EQ(a.refcount(), 2u);
+  EXPECT_FALSE(a.unique());
+  b.mutable_data()[0] = 0x11;
+  EXPECT_EQ(b[0], 0x11);
+  EXPECT_EQ(a[0], 0xc0);
+  EXPECT_EQ(kConstant.buffer()[0], 0xc0);
+  EXPECT_TRUE(b.unique());  // b now owns a pooled copy
+  Buffer d = kConstant.buffer();
+  d.prepend(std::vector<std::uint8_t>{0x01});
+  EXPECT_EQ(d, (std::vector<std::uint8_t>{0x01, 0xc0, 0xff, 0xee}));
+  EXPECT_EQ(kConstant.buffer().size(), 3u);
+  b = Buffer{};
+  d = Buffer{};
+  a = Buffer{};
+  c = Buffer{};
+  EXPECT_EQ(BufferPool::instance().stats().live_slabs, live);
+  EXPECT_EQ(kConstant.buffer().refcount(), 2u);
+}
+
+TEST(BufferTest, ConstantPayloadCrossesThreadsWithoutARace) {
+  // Shard threads copy and drop the same HELLO payload concurrently; with
+  // the refcount untouched there is nothing to race on (TSan checks this
+  // in the tsan preset).
+  auto churn = [] {
+    std::vector<Buffer> held;
+    for (int i = 0; i < 20000; ++i) {
+      held.push_back(kConstant.buffer());
+      if (held.size() == 64) held.clear();
+    }
+  };
+  std::thread t1(churn);
+  std::thread t2(churn);
+  churn();
+  t1.join();
+  t2.join();
+  EXPECT_EQ(kConstant.buffer().refcount(), 2u);
 }
 
 TEST(BufferTest, WriterProducesPrependableBuffer) {

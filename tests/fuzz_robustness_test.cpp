@@ -65,6 +65,9 @@ TEST_P(FuzzSeeds, MtpDecoderRejectsMutatedValidMessages) {
 
 TEST_P(FuzzSeeds, BgpReaderNeverCrashes) {
   sim::Rng rng(GetParam() * 97);
+  // One message for every stream, as a session reuses one: decoding into
+  // whatever the last stream left there is fuzzed too.
+  bgp::BgpMessage msg;
   for (int i = 0; i < 2000; ++i) {
     bgp::MessageReader reader;
     // Mix of garbage and valid fragments fed in random chunks.
@@ -87,7 +90,7 @@ TEST_P(FuzzSeeds, BgpReaderNeverCrashes) {
         n = std::min(n, stream.size() - pos);
         reader.append(std::span(stream).subspan(pos, n));
         pos += n;
-        while (reader.next().has_value()) {
+        while (reader.next(msg)) {
         }
       }
     } catch (const util::CodecError&) {
@@ -336,12 +339,13 @@ std::vector<std::vector<std::uint8_t>> bgp_corpus() {
 // the full length): the reader must wait for more bytes or throw — it must
 // never fabricate a message from a partial one.
 TEST(DecodeRoundTrip, BgpEveryTruncationWaitsOrRejects) {
+  bgp::BgpMessage msg;
   for (const auto& valid : bgp_corpus()) {
     for (std::size_t len = 0; len < valid.size(); ++len) {
       bgp::MessageReader reader;
       reader.append(std::span(valid.data(), len));
       try {
-        EXPECT_FALSE(reader.next().has_value()) << "prefix len " << len;
+        EXPECT_FALSE(reader.next(msg)) << "prefix len " << len;
       } catch (const util::CodecError&) {
       }
     }
@@ -351,10 +355,10 @@ TEST(DecodeRoundTrip, BgpEveryTruncationWaitsOrRejects) {
       if (split >= valid.size()) continue;
       bgp::MessageReader reader;
       reader.append(std::span(valid.data(), split));
-      EXPECT_FALSE(reader.next().has_value());
+      EXPECT_FALSE(reader.next(msg));
       reader.append(
           std::span(valid.data() + split, valid.size() - split));
-      EXPECT_TRUE(reader.next().has_value());
+      EXPECT_TRUE(reader.next(msg));
       EXPECT_EQ(reader.buffered(), 0u);
     }
   }
@@ -362,6 +366,7 @@ TEST(DecodeRoundTrip, BgpEveryTruncationWaitsOrRejects) {
 
 TEST_P(FuzzSeeds, BgpBitFlipsRejectOrParse) {
   sim::Rng rng(GetParam() * 173);
+  bgp::BgpMessage msg;
   for (const auto& valid : bgp_corpus()) {
     for (std::size_t pos = 0; pos < valid.size(); ++pos) {
       for (int bit = 0; bit < 8; ++bit) {
@@ -370,7 +375,7 @@ TEST_P(FuzzSeeds, BgpBitFlipsRejectOrParse) {
         bgp::MessageReader reader;
         reader.append(std::span(mutated));
         try {
-          while (reader.next().has_value()) {
+          while (reader.next(msg)) {
           }
         } catch (const util::CodecError&) {
           // Session reset; the reader must simply stop.
@@ -388,7 +393,7 @@ TEST_P(FuzzSeeds, BgpBitFlipsRejectOrParse) {
       bgp::MessageReader reader;
       reader.append(std::span(mutated));
       try {
-        while (reader.next().has_value()) {
+        while (reader.next(msg)) {
         }
       } catch (const util::CodecError&) {
       }

@@ -224,6 +224,41 @@ TEST_F(RouteTableTest, ReplaceAndRemove) {
   EXPECT_EQ(table_.size(), 0u);
 }
 
+TEST_F(RouteTableTest, HostEpochMovesOnlyForHostAndLinkRoutes) {
+  // A link peer's answer depends only on /31 and /32 routes, so BGP's /24
+  // installs and removals must leave host_epoch() alone while epoch()
+  // moves; any /31 or /32 change, and clear(), move both.
+  const auto h0 = table_.host_epoch();
+  const auto e0 = table_.epoch();
+  const auto rack = Ipv4Prefix::parse("192.168.11.0/24");
+  table_.set(rack, RouteProto::kBgp, {{Ipv4Addr::parse("172.16.0.1"), 1}});
+  table_.set(rack, RouteProto::kBgp, {{Ipv4Addr::parse("172.16.0.3"), 2}});
+  EXPECT_TRUE(table_.remove(rack));
+  EXPECT_EQ(table_.host_epoch(), h0);
+  EXPECT_EQ(table_.epoch(), e0 + 3);
+
+  auto moves = [this](auto&& change) {
+    const auto before = table_.host_epoch();
+    change();
+    return table_.host_epoch() > before;
+  };
+  const auto link = Ipv4Prefix::parse("172.16.0.0/31");
+  const auto host = Ipv4Prefix::parse("172.16.0.1/32");
+  EXPECT_TRUE(moves([&] {
+    table_.add_connected(link, 1, Ipv4Addr::parse("172.16.0.0"));
+  }));
+  EXPECT_TRUE(moves([&] {
+    table_.set(link, RouteProto::kStatic, {{Ipv4Addr::parse("10.0.0.1"), 2}});
+  }));
+  EXPECT_TRUE(moves([&] { table_.remove(link); }));
+  EXPECT_TRUE(moves([&] {
+    table_.set(host, RouteProto::kBgp, {{Ipv4Addr::parse("10.0.0.1"), 2}});
+  }));
+  EXPECT_TRUE(moves([&] { table_.set(host, RouteProto::kBgp, {}); }));
+  EXPECT_FALSE(moves([&] { table_.remove(host); }));  // already gone
+  EXPECT_TRUE(moves([&] { table_.clear(); }));
+}
+
 TEST_F(RouteTableTest, DumpMatchesListing3Format) {
   table_.add_connected(Ipv4Prefix::parse("172.16.0.0/24"), 3,
                        Ipv4Addr::parse("172.16.0.2"));

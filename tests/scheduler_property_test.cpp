@@ -6,15 +6,23 @@
 // both directions, operations on already-fired ids, and callbacks that
 // cancel or reschedule other pending events while they fire. Pop order must
 // match event for event, and the buckets must hold exactly the pending events
-// (queue_size() == pending()) after every operation.
+// (queue_size() == pending()) after every operation. The every-class variant
+// gives each event a capture of one of the scheduler's three storage classes
+// (inline, 64-byte block, heap), copyable or move-only, that checks its own
+// bytes and counts its live copies, and lets firing callbacks schedule new
+// events too.
 //
 // Runs plain, under ASan, and under TSan (see tests/CMakeLists.txt and
 // scripts/check.sh).
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -95,6 +103,119 @@ class ReferenceScheduler {
   Time now_ = Time::zero();
 };
 
+/// Live Probe captures: every construction counts up, every destruction
+/// down, so a capture the scheduler leaks, destroys twice or forgets to
+/// relocate leaves it off zero.
+int g_live_probes = 0;
+
+using Sink = std::function<void(std::uint64_t)>;
+
+/// An event callable of a chosen size that checks its own bytes when it
+/// runs and reports its token to `sink`. `Pad` picks the storage class;
+/// `MoveOnly` holds the token in a unique_ptr.
+template <std::size_t Pad, bool MoveOnly>
+class Probe {
+ public:
+  Probe(const Sink* sink, std::uint64_t token) : sink_(sink) {
+    if constexpr (MoveOnly) {
+      token_ = std::make_unique<std::uint64_t>(token);
+    } else {
+      token_ = token;
+    }
+    pad_.fill(pattern(token));
+    ++g_live_probes;
+  }
+  Probe(const Probe& other) requires(!MoveOnly)
+      : sink_(other.sink_), token_(other.token_), pad_(other.pad_) {
+    ++g_live_probes;
+  }
+  Probe(Probe&& other) noexcept
+      : sink_(other.sink_), token_(std::move(other.token_)), pad_(other.pad_) {
+    ++g_live_probes;
+  }
+  Probe& operator=(const Probe&) = delete;
+  Probe& operator=(Probe&&) = delete;
+  ~Probe() { --g_live_probes; }
+
+  void operator()() {
+    std::uint64_t token = 0;
+    if constexpr (MoveOnly) {
+      ASSERT_NE(token_, nullptr);
+      token = *token_;
+    } else {
+      token = token_;
+    }
+    for (std::uint8_t b : pad_) ASSERT_EQ(b, pattern(token)) << token;
+    (*sink_)(token);
+  }
+
+ private:
+  static std::uint8_t pattern(std::uint64_t token) {
+    return static_cast<std::uint8_t>(token * 37 + 11);
+  }
+
+  const Sink* sink_;
+  std::conditional_t<MoveOnly, std::unique_ptr<std::uint64_t>, std::uint64_t>
+      token_;
+  std::array<std::uint8_t, Pad> pad_;
+};
+
+// One probe size per storage class: inline (<= 24 bytes), block (25-64),
+// heap (> 64).
+constexpr std::size_t kInlinePad = 8;
+constexpr std::size_t kBlockPad = 40;
+constexpr std::size_t kHeapPad = 64;
+static_assert(sizeof(Probe<kInlinePad, false>) <= 24);
+static_assert(sizeof(Probe<kInlinePad, true>) <= 24);
+static_assert(sizeof(Probe<kBlockPad, false>) > 24 &&
+              sizeof(Probe<kBlockPad, false>) <= 64);
+static_assert(sizeof(Probe<kBlockPad, true>) > 24 &&
+              sizeof(Probe<kBlockPad, true>) <= 64);
+static_assert(sizeof(Probe<kHeapPad, false>) > 64);
+static_assert(sizeof(Probe<kHeapPad, true>) > 64);
+static_assert(!std::is_copy_constructible_v<Probe<kBlockPad, true>>);
+
+/// Schedules a Probe for `token` whose storage class and copyability are a
+/// pure function of the token, cycling through all six.
+EventId schedule_probe(Scheduler& sched, Time at, std::uint64_t order,
+                       const Sink* sink, std::uint64_t token) {
+  switch (token % 6) {
+    case 0:
+      return sched.schedule_at_ordered(at, order,
+                                       Probe<kInlinePad, false>(sink, token));
+    case 1:
+      return sched.schedule_at_ordered(at, order,
+                                       Probe<kInlinePad, true>(sink, token));
+    case 2:
+      return sched.schedule_at_ordered(at, order,
+                                       Probe<kBlockPad, false>(sink, token));
+    case 3:
+      return sched.schedule_at_ordered(at, order,
+                                       Probe<kBlockPad, true>(sink, token));
+    case 4:
+      return sched.schedule_at_ordered(at, order,
+                                       Probe<kHeapPad, false>(sink, token));
+    default:
+      return sched.schedule_at_ordered(at, order,
+                                       Probe<kHeapPad, true>(sink, token));
+  }
+}
+
+/// Tokens of events that firing callbacks schedule; they spawn no more.
+constexpr std::uint64_t kChildBit = std::uint64_t{1} << 62;
+
+/// In the every-class variant, one event in four that fires schedules a
+/// child event at now + the returned delay (ns); a pure function of the
+/// token so both schedulers spawn the same children.
+std::optional<std::int64_t> child_delay_of(std::uint64_t token) {
+  if ((token & kChildBit) != 0) return std::nullopt;
+  std::uint64_t h = (token + 7) * 0xc2b2ae3d27d4eb4full;
+  h ^= h >> 29;
+  if (h % 4 != 0) return std::nullopt;
+  static constexpr std::int64_t kDelays[] = {0, 0, 1, 700, 40'000, 9'000'000};
+  return kDelays[(h >> 12) % 6];
+}
+
 /// What a firing event does to another pending event in the mid-callback
 /// variant: cancel it, or reschedule it to now + `delay_ns` (negative aims
 /// at the past and clamps to now).
@@ -121,7 +242,11 @@ std::optional<SideEffect> side_effect_of(std::uint64_t token,
 /// pop order, identical reschedule return values, and identical clocks. With
 /// `callbacks_mutate`, firing callbacks also cancel and reschedule other
 /// pending events, moving bucket entries while the scheduler is mid-pop.
-void fuzz_run(std::uint64_t seed, int ops, bool callbacks_mutate = false) {
+/// With `every_class`, events carry Probes of every storage class and
+/// firing callbacks also schedule child events.
+void fuzz_run(std::uint64_t seed, int ops, bool callbacks_mutate = false,
+              bool every_class = false) {
+  const int live_before = g_live_probes;
   Scheduler sched;
   ReferenceScheduler ref;
   Rng rng(seed);
@@ -136,8 +261,14 @@ void fuzz_run(std::uint64_t seed, int ops, bool callbacks_mutate = false) {
   std::vector<bool> sched_effects;
   std::vector<bool> ref_effects;
 
-  auto fire_sched = [&](std::uint64_t token) {
+  Sink fire_sched;
+  fire_sched = [&](std::uint64_t token) {
     sched_fired.push_back(token);
+    if (!every_class) return;
+    if (std::optional<std::int64_t> d = child_delay_of(token)) {
+      schedule_probe(sched, Time::from_ns(sched.now().ns() + *d),
+                     Scheduler::kUnordered, &fire_sched, token | kChildBit);
+    }
     if (!callbacks_mutate) return;
     std::optional<SideEffect> fx = side_effect_of(token, ids.size());
     if (!fx) return;
@@ -153,6 +284,11 @@ void fuzz_run(std::uint64_t seed, int ops, bool callbacks_mutate = false) {
   // Mirrors fire_sched on the reference after it pops `token`.
   auto fire_ref = [&](std::uint64_t token) {
     ref_fired.push_back(token);
+    if (!every_class) return;
+    if (std::optional<std::int64_t> d = child_delay_of(token)) {
+      ref.schedule(Time::from_ns(ref.now().ns() + *d), Scheduler::kUnordered,
+                   token | kChildBit);
+    }
     if (!callbacks_mutate) return;
     std::optional<SideEffect> fx = side_effect_of(token, ids.size());
     if (!fx) return;
@@ -167,8 +303,11 @@ void fuzz_run(std::uint64_t seed, int ops, bool callbacks_mutate = false) {
 
   auto schedule_one = [&](Time at, std::uint64_t order) {
     std::uint64_t token = next_token++;
-    EventId id = sched.schedule_at_ordered(
-        at, order, [&fire_sched, token] { fire_sched(token); });
+    EventId id =
+        every_class
+            ? schedule_probe(sched, at, order, &fire_sched, token)
+            : sched.schedule_at_ordered(
+                  at, order, [&fire_sched, token] { fire_sched(token); });
     ref.schedule(at, order, token);
     ids.emplace_back(token, id);
   };
@@ -289,6 +428,9 @@ void fuzz_run(std::uint64_t seed, int ops, bool callbacks_mutate = false) {
   ASSERT_EQ(sched_effects, ref_effects) << "seed " << seed;
   EXPECT_TRUE(sched.empty());
   EXPECT_EQ(sched.queue_size(), 0u);
+  // Every capture was destroyed exactly once, as its event fired or was
+  // cancelled.
+  EXPECT_EQ(g_live_probes, live_before) << "seed " << seed;
 }
 
 TEST(SchedulerProperty, MatchesReferenceAcrossSeeds) {
@@ -306,6 +448,79 @@ TEST(SchedulerProperty, CallbacksCancelAndRescheduleOthers) {
              /*callbacks_mutate=*/true);
     if (HasFatalFailure() || HasNonfatalFailure()) return;
   }
+}
+
+TEST(SchedulerProperty, EveryCaptureClassMatchesReference) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    fuzz_run(0x165667b19e3779f9ull * seed + seed, 1500,
+             /*callbacks_mutate=*/seed % 2 == 0, /*every_class=*/true);
+    if (HasFatalFailure() || HasNonfatalFailure()) return;
+  }
+}
+
+TEST(SchedulerProperty, EveryCaptureClassLongChurn) {
+  fuzz_run(43, 20000, /*callbacks_mutate=*/true, /*every_class=*/true);
+}
+
+TEST(SchedulerProperty, DestroyedWithPendingEventsOfEveryClass) {
+  // Events of all six probe kinds: some fire, some are cancelled, the rest
+  // are still pending (in bucket 0 and in higher buckets) when the
+  // scheduler goes. Every capture is destroyed exactly once, and none runs.
+  std::vector<std::uint64_t> fired;
+  const Sink sink = [&fired](std::uint64_t token) { fired.push_back(token); };
+  {
+    Scheduler sched;
+    std::vector<EventId> ids;
+    for (std::uint64_t token = 0; token < 600; ++token) {
+      const Time at = Time::from_ns(static_cast<std::int64_t>(
+          token % 3 == 0 ? 1000 : 1000 + 37 * token));
+      ids.push_back(
+          schedule_probe(sched, at, Scheduler::kUnordered, &sink, token));
+    }
+    EXPECT_EQ(g_live_probes, 600);
+    for (std::size_t i = 0; i < ids.size(); i += 5) sched.cancel(ids[i]);
+    // Fire part of the t = 1000 group, so bucket 0 is mid-pop at teardown.
+    for (int i = 0; i < 50; ++i) ASSERT_TRUE(sched.step());
+    EXPECT_EQ(fired.size(), 50u);
+    EXPECT_EQ(g_live_probes, static_cast<int>(sched.pending()));
+    EXPECT_GT(sched.pending(), 400u);
+  }
+  EXPECT_EQ(g_live_probes, 0);
+  EXPECT_EQ(fired.size(), 50u);
+}
+
+TEST(SchedulerProperty, MoveOnlyCapturesOfEveryClassFireOnce) {
+  // Plain lambdas owning a unique_ptr, one per class by padding, each
+  // rescheduled once before firing: ownership survives the slot's moves.
+  Scheduler sched;
+  std::vector<int> fired;
+  auto small = std::make_unique<int>(1);
+  std::array<std::uint64_t, 4> mid{};
+  std::array<std::uint64_t, 10> big{};
+  EventId a = sched.schedule_at(Time::from_ns(30),
+                                [p = std::move(small), &fired] {
+                                  fired.push_back(*p);
+                                });
+  EventId b = sched.schedule_at(
+      Time::from_ns(20),
+      [p = std::make_unique<int>(2), mid, &fired] {
+        fired.push_back(*p + static_cast<int>(mid[0]));
+      });
+  EventId c = sched.schedule_at(
+      Time::from_ns(10),
+      [p = std::make_unique<int>(3), big, &fired] {
+        fired.push_back(*p + static_cast<int>(big[9]));
+      });
+  // Enough filler events to grow the slot array past its first capacity
+  // while the three wait, so inline captures are relocated.
+  for (int i = 0; i < 100; ++i) {
+    sched.schedule_at(Time::from_ns(5), [] {});
+  }
+  ASSERT_TRUE(sched.reschedule(a, Time::from_ns(1)));
+  ASSERT_TRUE(sched.reschedule(b, Time::from_ns(2)));
+  ASSERT_TRUE(sched.reschedule(c, Time::from_ns(3)));
+  sched.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(SchedulerProperty, SameDeadlineBurstKeyedBeforePlain) {
